@@ -4,11 +4,12 @@ worm engine under steady Poisson load.
 The headline events/sec of each size is persisted to
 ``BENCH_perf_sim.json`` at the repository root (see
 :mod:`benchmarks.perf_record`) so the kernel's perf trajectory is
-tracked across PRs.  ``test_kernel_speedup`` additionally runs the
-current (v3, calendar) kernel against the frozen v2 heapq kernel in an
-interleaved same-session A/B -- on the bench scenario and on a
-deep-queue scenario -- verifying bitwise-identical results on the way
-and recording both ratios.
+tracked across PRs.  ``test_c_kernel_speedup`` additionally runs the
+compiled kernel against the pure-Python one in an interleaved
+same-session A/B -- on the bench scenario and on a deep-queue scenario
+-- verifying bitwise-identical results on the way and recording both
+ratios.  A/Bs of one kernel across two checkouts (``kernel_speedup[c-*]``)
+are made by ``benchmarks/native_ab.py``.
 """
 
 import dataclasses
@@ -16,10 +17,11 @@ import time
 
 import pytest
 
-from perf_record import latest_metric, record_metric
+import c_kernel_scenarios
+from perf_record import record_metric
 from repro.core import TrafficSpec
 from repro.routing import QuarcRouting
-from repro.sim import ENGINE_VERSION, NocSimulator, SimConfig, cext
+from repro.sim import ENGINE_VERSION, NocSimulator, cext
 from repro.topology import QuarcTopology
 from repro.workloads import random_multicast_sets
 
@@ -58,20 +60,18 @@ def test_sim_throughput(benchmark, n, quick_sim_config):
     )
 
 
-def _ab_pair(spec, cfg, topo, routing, *, rounds=5, best_of=3,
-             kernels=("heap", "calendar")):
-    """Interleaved kernel A/B on one scenario: median of ``rounds``
+def _ab_pair(spec, cfg, topo, routing, *, best_of, rounds=5):
+    """Interleaved python-vs-c A/B on one scenario: median of ``rounds``
     best-of-``best_of`` pairwise ratios on process CPU time, plus an
-    exact result-identity check.  Returns (old ev/s, new ev/s, speedup,
-    events) for ``kernels = (old, new)``."""
-    old_kernel, new_kernel = kernels
-    sim_v2 = NocSimulator(topo, routing, kernel=old_kernel)
-    sim_v3 = NocSimulator(topo, routing, kernel=new_kernel)
-    r2 = sim_v2.run(spec, cfg)  # warm route caches on both paths
-    r3 = sim_v3.run(spec, cfg)
-    assert r3.events == r2.events and r3.sim_time == r2.sim_time
-    assert r3.unicast.mean == r2.unicast.mean
-    assert r3.multicast.count == r2.multicast.count
+    exact result-identity check.  Returns (python ev/s, c ev/s, speedup,
+    events)."""
+    sim_old = NocSimulator(topo, routing, kernel="python")
+    sim_new = NocSimulator(topo, routing, kernel="c")
+    r_old = sim_old.run(spec, cfg)  # warm route caches on both paths
+    r_new = sim_new.run(spec, cfg)
+    assert r_new.events == r_old.events and r_new.sim_time == r_old.sim_time
+    assert r_new.unicast.mean == r_old.unicast.mean
+    assert r_new.multicast.count == r_old.multicast.count
 
     def best(sim):
         b = float("inf")
@@ -82,84 +82,13 @@ def _ab_pair(spec, cfg, topo, routing, *, rounds=5, best_of=3,
         return b / 1e9
 
     pairs = sorted(
-        (best(sim_v2), best(sim_v3)) for _ in range(rounds)
+        (best(sim_old), best(sim_new)) for _ in range(rounds)
     )
     ratios = sorted(h / c for h, c in pairs)
     speedup = ratios[len(ratios) // 2]
-    best_v2 = min(h for h, _ in pairs)
-    best_v3 = min(c for _, c in pairs)
-    return r3.events / best_v2, r3.events / best_v3, speedup, r3.events
-
-
-@pytest.mark.parametrize("n", [64])
-def test_kernel_speedup(n):
-    """v2 (heapq) vs v3 (calendar) interleaved A/B, recorded per PR.
-
-    Two regimes are measured: the standing light-load bench scenario
-    (shallow queues, a handful of pending events -- C heapq's best
-    case) and a deep-queue scenario (large network near saturation,
-    hundreds-to-thousands of pending events -- the regime the calendar's
-    O(1) scheduling is for, and where the paper's latency-vs-load curves
-    spend their events).
-    """
-    topo = QuarcTopology(n)
-    routing = QuarcRouting(topo)
-    sets = random_multicast_sets(routing, group_size=max(3, n // 8), seed=1)
-    spec = TrafficSpec(0.024 / n, 0.05, 32, sets)
-    cfg = SimConfig(seed=2009, warmup_cycles=1_500.0, target_unicast_samples=500,
-                    target_multicast_samples=100, max_cycles=1_000_000.0)
-    v2_eps, v3_eps, speedup, events = _ab_pair(spec, cfg, topo, routing)
-
-    deep_n = 1024
-    deep_topo = QuarcTopology(deep_n)
-    deep_routing = QuarcRouting(deep_topo)
-    deep_sets = random_multicast_sets(deep_routing, group_size=deep_n // 8, seed=1)
-    deep_spec = TrafficSpec(8.0 * 0.024 / deep_n, 0.05, 32, deep_sets)
-    deep_cfg = SimConfig(seed=2009, warmup_cycles=500.0, target_unicast_samples=300,
-                         target_multicast_samples=60, max_cycles=120_000.0)
-    d_v2, d_v3, d_speedup, d_events = _ab_pair(
-        deep_spec, deep_cfg, deep_topo, deep_routing, rounds=3, best_of=1
-    )
-
-    prev = latest_metric(f"kernel_speedup[{n}]")
-    prev_note = (
-        f" (previous recorded: {prev.get('speedup')}x)" if prev else ""
-    )
-    print(f"\nkernel A/B [{n}] light load: v2 {v2_eps:,.0f} ev/s, "
-          f"v3 {v3_eps:,.0f} ev/s, speedup {speedup:.2f}x{prev_note}")
-    print(f"kernel A/B [{deep_n}] deep queue: v2 {d_v2:,.0f} ev/s, "
-          f"v3 {d_v3:,.0f} ev/s, speedup {d_speedup:.2f}x")
-    record_metric(
-        f"kernel_speedup[{n}]",
-        {
-            "old_engine": 2,
-            "new_engine": ENGINE_VERSION,
-            "old_kernel": "heap",
-            "new_kernel": "calendar",
-            "old_events_per_sec": round(v2_eps),
-            "new_events_per_sec": round(v3_eps),
-            "speedup": round(speedup, 3),
-            "note": "interleaved A/B, median pairwise ratio on CPU time, "
-                    "bench scenario (light load, shallow queue)",
-        },
-    )
-    record_metric(
-        f"kernel_speedup[{deep_n}]",
-        {
-            "old_engine": 2,
-            "new_engine": ENGINE_VERSION,
-            "old_kernel": "heap",
-            "new_kernel": "calendar",
-            "old_events_per_sec": round(d_v2),
-            "new_events_per_sec": round(d_v3),
-            "speedup": round(d_speedup, 3),
-            "note": "interleaved A/B, deep-queue scenario (N=1024 near "
-                    "saturation): the calendar kernel's target regime",
-        },
-    )
-    # both kernels must at least be in the same performance class; the
-    # identity assertions inside _ab_pair are the hard gate
-    assert speedup > 0.5 and d_speedup > 0.5
+    best_old = min(h for h, _ in pairs)
+    best_new = min(c for _, c in pairs)
+    return r_new.events / best_old, r_new.events / best_new, speedup, r_new.events
 
 
 @pytest.mark.skipif(
@@ -167,8 +96,9 @@ def test_kernel_speedup(n):
     reason=f"compiled kernel not built: {cext.unavailable_reason()}",
 )
 def test_c_kernel_speedup():
-    """Compiled fast path vs the calendar kernel, same interleaved A/B
-    methodology, on the same two regimes as ``test_kernel_speedup``.
+    """Compiled fast path vs the pure-Python kernel, interleaved A/B on
+    two regimes: the light-load bench scenario (shallow queues) and a
+    deep-queue one (N=1024 near saturation).
 
     The tracked goal for the compiled kernel is >= 3x on the
     bench_perf_sim[64] scenario.  The measured ratio is recorded either
@@ -176,27 +106,15 @@ def test_c_kernel_speedup():
     never by quietly weakening the measurement -- and the hard assert
     only guards against a regression that would make the native loop
     pointless (it must convincingly beat the kernel it replaces)."""
-    n = 64
-    topo = QuarcTopology(n)
-    routing = QuarcRouting(topo)
-    sets = random_multicast_sets(routing, group_size=max(3, n // 8), seed=1)
-    spec = TrafficSpec(0.024 / n, 0.05, 32, sets)
-    cfg = SimConfig(seed=2009, warmup_cycles=1_500.0, target_unicast_samples=500,
-                    target_multicast_samples=100, max_cycles=1_000_000.0)
+    n, deep_n = 64, 1024
+    topo, routing, spec, cfg = c_kernel_scenarios.build("c-64")
     py_eps, c_eps, speedup, events = _ab_pair(
-        spec, cfg, topo, routing, kernels=("calendar", "c")
+        spec, cfg, topo, routing, best_of=c_kernel_scenarios.best_of("c-64")
     )
-
-    deep_n = 1024
-    deep_topo = QuarcTopology(deep_n)
-    deep_routing = QuarcRouting(deep_topo)
-    deep_sets = random_multicast_sets(deep_routing, group_size=deep_n // 8, seed=1)
-    deep_spec = TrafficSpec(8.0 * 0.024 / deep_n, 0.05, 32, deep_sets)
-    deep_cfg = SimConfig(seed=2009, warmup_cycles=500.0, target_unicast_samples=300,
-                         target_multicast_samples=60, max_cycles=120_000.0)
+    deep_topo, deep_routing, deep_spec, deep_cfg = c_kernel_scenarios.build("c-1024")
     d_py, d_c, d_speedup, d_events = _ab_pair(
-        deep_spec, deep_cfg, deep_topo, deep_routing, rounds=3, best_of=1,
-        kernels=("calendar", "c"),
+        deep_spec, deep_cfg, deep_topo, deep_routing, rounds=3,
+        best_of=c_kernel_scenarios.best_of("c-1024"),
     )
 
     target = 3.0
@@ -204,37 +122,37 @@ def test_c_kernel_speedup():
         "below the 3x target: the remaining time is Python arrival "
         "generation, worm spawning and stats hooks, not dispatch"
     )
-    print(f"\nc kernel A/B [{n}] light load: calendar {py_eps:,.0f} ev/s, "
+    print(f"\nc kernel A/B [{n}] light load: python {py_eps:,.0f} ev/s, "
           f"c {c_eps:,.0f} ev/s, speedup {speedup:.2f}x ({verdict})")
-    print(f"c kernel A/B [{deep_n}] deep queue: calendar {d_py:,.0f} ev/s, "
+    print(f"c kernel A/B [{deep_n}] deep queue: python {d_py:,.0f} ev/s, "
           f"c {d_c:,.0f} ev/s, speedup {d_speedup:.2f}x")
     record_metric(
-        f"kernel_speedup[c-{n}]",
+        f"c_speedup[{n}]",
         {
             "old_engine": ENGINE_VERSION,
             "new_engine": ENGINE_VERSION,
-            "old_kernel": "calendar",
+            "old_kernel": "python",
             "new_kernel": "c",
             "old_events_per_sec": round(py_eps),
             "new_events_per_sec": round(c_eps),
             "speedup": round(speedup, 3),
             "target": target,
             "target_met": speedup >= target,
-            "note": "compiled dispatch fast path vs calendar kernel, "
+            "note": "compiled dispatch fast path vs python kernel, "
                     "bench scenario (light load, shallow queue)",
         },
     )
     record_metric(
-        f"kernel_speedup[c-{deep_n}]",
+        f"c_speedup[{deep_n}]",
         {
             "old_engine": ENGINE_VERSION,
             "new_engine": ENGINE_VERSION,
-            "old_kernel": "calendar",
+            "old_kernel": "python",
             "new_kernel": "c",
             "old_events_per_sec": round(d_py),
             "new_events_per_sec": round(d_c),
             "speedup": round(d_speedup, 3),
-            "note": "compiled dispatch fast path vs calendar kernel, "
+            "note": "compiled dispatch fast path vs python kernel, "
                     "deep-queue scenario (N=1024 near saturation)",
         },
     )

@@ -870,50 +870,27 @@ def cmd_cache(args) -> int:
 
 
 def cmd_kernels(args) -> int:
-    from repro.sim import (
-        AUTO_KERNEL_DEPTH,
-        AUTO_KERNEL_MIN_NODES,
-        ENGINE_VERSION,
-        KERNELS,
-        c_kernel_status,
-        resolve_auto_kernel,
-    )
+    from repro.sim import ENGINE_VERSION, KERNELS, c_kernel_status
 
     descriptions = {
-        "heap": "frozen v2 heapq reference kernel (pure Python)",
-        "calendar": "calendar-queue kernel (pure Python)",
-        "c": "compiled dispatch fast path (C extension)",
+        "python": "heapq kernel (pure Python, the behavioural oracle)",
+        "c": "compiled transcription of the python kernel (C extension)",
     }
     print(f"== event kernels (engine v{ENGINE_VERSION}) ==")
     for name in sorted(KERNELS):
         queue_cls, engine_cls = KERNELS[name]
-        desc = descriptions.get(name, "")
-        print(f"  {name:9s}: {desc}  [{queue_cls.__name__} + {engine_cls.__name__}]")
+        print(f"  {name:7s}: {descriptions[name]}  "
+              f"[{queue_cls.__name__} + {engine_cls.__name__}]")
     built, reason = c_kernel_status()
     if built:
-        print("compiled fast path: built "
-              "(differentially checked against the pure-Python kernels)")
+        print("compiled fast path: built")
     else:
         print(f"compiled fast path: NOT built -- {reason}")
         print("  build it with: pip install -e .   (a C compiler is all it needs;"
-              " a failed build degrades to the pure-Python kernels)")
-    if built:
-        print('kernel="auto": always the compiled fast path (fastest in '
-              "every measured regime)")
-        print(f"  without the extension it falls back to: heap below "
-              f"{AUTO_KERNEL_MIN_NODES} nodes on a first run, then "
-              f"heap/calendar by observed pending depth "
-              f"(threshold {AUTO_KERNEL_DEPTH})")
-    else:
-        first = resolve_auto_kernel(16)
-        big = resolve_auto_kernel(AUTO_KERNEL_MIN_NODES)
-        print(f'kernel="auto" first run : {first} (small network) / {big} '
-              f"(>= {AUTO_KERNEL_MIN_NODES} nodes)")
-        shallow = resolve_auto_kernel(16, observed_depth=AUTO_KERNEL_DEPTH - 1)
-        deep = resolve_auto_kernel(16, observed_depth=AUTO_KERNEL_DEPTH)
-        print(f'kernel="auto" repeat run: {shallow} below '
-              f"{AUTO_KERNEL_DEPTH} observed pending events, {deep} at or above")
-    print("all kernels are bit-identical; the choice only affects speed")
+              " a failed build degrades to the python kernel)")
+    print(f'kernel="auto": c when the extension is built, else python '
+          f'(here: {"c" if built else "python"})')
+    print("both kernels are bit-identical; the choice only affects speed")
     return 0
 
 

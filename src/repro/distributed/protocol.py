@@ -298,11 +298,11 @@ class Hello:
 
     The ``engine`` stamp vets kernel provenance, not wire
     compatibility: a worker running another
-    :data:`~repro.sim.engine.ENGINE_VERSION` (e.g. a v2 heapq-kernel
-    checkout talking to a v3 calendar-kernel coordinator) is refused at
-    the handshake even when, as in the v2->v3 swap, the kernels are
-    proven bit-identical -- mixed-kernel runs must be a deliberate
-    choice, never an accident of deployment skew.
+    :data:`~repro.sim.engine.ENGINE_VERSION` (e.g. a v4 checkout talking
+    to a v5 coordinator) is refused at the handshake even when, as in
+    the v4->v5 swap, the kernels are proven bit-identical -- mixed-kernel
+    runs must be a deliberate choice, never an accident of deployment
+    skew.
     """
 
     protocol: int

@@ -426,10 +426,10 @@ def execute_task(task: SimTask) -> TaskResult:
 #: (:data:`repro.sim.engine.ENGINE_VERSION`): an entry simulated by a
 #: different kernel is reported as stale and recomputed, never served
 #: silently, even when the layout still parses.  The stamp is about
-#: provenance, not payload compatibility -- the v2->v3 calendar-kernel
-#: swap was proven bit-identical, yet v2 entries still read as stale,
-#: because "which kernel produced this number" must never be guessed.
-#: The per-entry ``kernel`` key (heap / calendar / c) is finer-grained
+#: provenance, not payload compatibility -- each kernel swap so far was
+#: proven bit-identical, yet older entries still read as stale, because
+#: "which kernel produced this number" must never be guessed.
+#: The per-entry ``kernel`` key (python / c) is finer-grained
 #: provenance still: it names the scheduler that produced the numbers
 #: without gating reads, since all registered kernels are bit-identical
 #: within one engine version (entries written before the key exist read

@@ -28,17 +28,9 @@ from repro.sim.arrivals import (
     VectorizedPoissonArrivalStream,
     make_arrival_stream,
 )
-from repro.sim.engine import ENGINE_VERSION, EventQueue, HeapEventQueue
+from repro.sim.engine import ENGINE_VERSION, EventQueue
 from repro.sim.measurement import LatencyStats
-from repro.sim.network import (
-    AUTO_KERNEL_DEPTH,
-    AUTO_KERNEL_MIN_NODES,
-    KERNELS,
-    NocSimulator,
-    SimConfig,
-    SimResult,
-    resolve_auto_kernel,
-)
+from repro.sim.network import KERNELS, NocSimulator, SimConfig, SimResult
 from repro.sim.replication import (
     ReplicationSummary,
     mser_truncation,
@@ -49,21 +41,11 @@ from repro.sim.replication import (
 )
 from repro.sim.trace import ChannelUtilizationTracer, CompositeTracer
 from repro.sim.worm import Worm, WormClass
-from repro.sim.wormengine import (
-    CWormEngine,
-    HeapWormEngine,
-    WormEngine,
-    c_kernel_status,
-)
+from repro.sim.wormengine import CWormEngine, WormEngine, c_kernel_status
 
 __all__ = [
     "ENGINE_VERSION",
     "EventQueue",
-    "AUTO_KERNEL_DEPTH",
-    "AUTO_KERNEL_MIN_NODES",
-    "resolve_auto_kernel",
-    "HeapEventQueue",
-    "HeapWormEngine",
     "KERNELS",
     "ARRIVAL_MODES",
     "PoissonArrivalStream",

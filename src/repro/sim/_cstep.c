@@ -1,44 +1,50 @@
 /* _cstep: compiled dispatch fast path for the wormhole engine.
  *
  * A hand-written CPython extension (no Cython) implementing the fused
- * event loop of repro.sim.wormengine.WormEngine.run_events -- calendar
+ * event loop of repro.sim.wormengine.WormEngine.run_events -- heap
  * pop/merge with the arrival stream, EV_REQUEST/EV_RELEASE/EV_INJECT
  * dispatch, free-path fast hops, drain chaining and ballistic
  * whole-worm completion -- as native code over the very same Python
- * objects the pure-Python kernels use.
+ * objects the pure-Python kernel uses.
  *
  * Design rules (the reasons this can be bit-identical):
  *
  * 1. SINGLE STORE OF TRUTH.  There is no mirrored C state.  Worm and
  *    EventQueue fields are read and written through their __slots__
  *    member offsets (resolved at configure() time from the live
- *    classes, never hard-coded); channel holders/FIFOs are the flat
- *    lists of repro.sim.state.ChannelState.  Bouncing a run to the
- *    Python kernel therefore needs zero state synchronisation.
+ *    classes, never hard-coded); the queue's _heap list is sifted in
+ *    place with heapq's own algorithm, so it is a valid heapq heap (the
+ *    very layout heapq would build) at every callout; channel
+ *    holders/FIFOs are the flat lists of repro.sim.state.ChannelState.
+ *    Bouncing a run to the Python kernel therefore needs zero state
+ *    synchronisation.
  *
  * 2. TRANSCRIPTION, NOT REIMPLEMENTATION.  Every function below is a
- *    line-by-line transcription of its Python counterpart (named in its
- *    comment), including where state is re-read after a Python callout
- *    and where a stale local is deliberately kept (the drain chain's
- *    event-budget local, the fast-forward interference limit).  Keep
- *    them in sync with wormengine.py.
+ *    transcription of its Python counterpart (named in its comment).
+ *    The one deliberate difference is the fast-forward interference
+ *    limit -- the earliest queued event or arrival -- which is cached
+ *    in a local and refreshed after anything that can push an event,
+ *    where the Python loop re-reads the heap head every hop.  Ballistic
+ *    completion (ctx_ballistic) has no Python counterpart: it replays
+ *    exactly what the stepped Python loop would do, and the c/python
+ *    differential suite is its check.  Keep them in sync with
+ *    wormengine.py.
  *
  * 3. PYTHON CALLOUTS FOR EVERYTHING COLD.  Arrival firing (and the worm
- *    spawning it triggers), EV_CALL payloads, segment refills, overflow
- *    heap pushes, deadlock recovery and the on_clone/on_complete hooks
- *    call back into Python.  The engine's _remaining/_arr_next window
- *    attrs are synced before any callout that can observe them, and
- *    re-read afterwards, at exactly the program points the Python loop
- *    reads its own attributes.
+ *    spawning it triggers), EV_CALL payloads, deadlock recovery and the
+ *    on_clone/on_complete hooks call back into Python.  The engine's
+ *    _remaining window attr is synced before any callout that can
+ *    observe it, and re-read afterwards, at exactly the program points
+ *    the Python loop reads its own attribute.
  *
- * 4. BOUNCE WHAT YOU DO NOT MODEL.  Timestamps at or beyond 2^52 (where
- *    C double->int window arithmetic could diverge from Python's
- *    arbitrary-precision ints), calendar spans wider than the 64-bit
- *    occupancy word, non-standard queue classes, or per-hop
- *    acquire/release hooks make run_events return (fired_so_far, True)
- *    at a clean iteration boundary -- the caller finishes the run with
- *    the pure-Python kernel.  inject() returns False to decline and the
- *    caller falls back likewise.
+ * 4. BOUNCE WHAT YOU DO NOT MODEL.  Timestamps at or beyond 2^52 (near
+ *    where doubles stop holding every integer cycle, so C double
+ *    compares could diverge from Python's exact int/float compares),
+ *    non-standard queue classes
+ *    or per-hop acquire/release hooks make run_events return
+ *    (fired_so_far, True) at a clean iteration boundary -- the caller
+ *    finishes the run with the pure-Python kernel.  inject() returns
+ *    False to decline and the caller falls back likewise.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -46,9 +52,8 @@
 #include <structmember.h>
 #include <math.h>
 
-/* int(t) and window arithmetic are exact below 2^52; past it, bounce. */
+/* double timestamps are integer-exact below 2^52; past it, bounce. */
 #define TIME_MAX 4503599627370496.0
-#define COV_MAX (1LL << 52)
 #define SEQ_MAX (1LL << 62)
 
 /* ------------------------------------------------------------------ */
@@ -57,23 +62,20 @@
 static int configured = 0;
 static PyTypeObject *worm_type = NULL;
 static PyTypeObject *queue_type = NULL;
-static PyObject *heappush_fn = NULL;
 static long ev_request_c = 0, ev_release_c = 1, ev_inject_c = 2;
-static Py_ssize_t trim_len = 1024;
 static long long fifo_compact = 32;
 
 /* Worm __slots__ offsets */
 static Py_ssize_t w_uid, w_ctime, w_path, w_H, w_acq, w_ptr, w_mlen,
     w_clones, w_blocked, w_done;
 /* EventQueue __slots__ offsets */
-static Py_ssize_t q_next, q_run, q_idx, q_cov, q_buckets, q_span, q_mask,
-    q_occ, q_overflow, q_seq, q_now;
+static Py_ssize_t q_heap, q_seq, q_now;
 
 /* interned names */
 static PyObject *s_events, *s_holders, *s_fifos, *s_fifo_heads,
     *s_on_clone, *s_on_complete, *s_on_acquire, *s_on_release,
-    *s_arrivals, *s_arr_next, *s_horizon, *s_remaining, *s_active_worms,
-    *s_recover, *s_refill, *s_push_record, *s_next_time, *s_fire;
+    *s_arrivals, *s_horizon, *s_remaining, *s_active_worms, *s_recover,
+    *s_next_time, *s_fire;
 
 /* ------------------------------------------------------------------ */
 /* slot access                                                         */
@@ -111,26 +113,6 @@ slot_set_steal(PyObject *o, Py_ssize_t off, PyObject *v)
 }
 
 static int
-slot_get_double(PyObject *o, Py_ssize_t off, double *out)
-{
-    PyObject *v = slot_get(o, off);
-    double d;
-    if (v == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "unset slot");
-        return -1;
-    }
-    if (PyFloat_CheckExact(v)) {
-        *out = PyFloat_AS_DOUBLE(v);
-        return 0;
-    }
-    d = PyFloat_AsDouble(v);
-    if (d == -1.0 && PyErr_Occurred())
-        return -1;
-    *out = d;
-    return 0;
-}
-
-static int
 slot_get_ll(PyObject *o, Py_ssize_t off, long long *out)
 {
     PyObject *v = slot_get(o, off);
@@ -156,38 +138,6 @@ static int
 slot_set_double(PyObject *o, Py_ssize_t off, double v)
 {
     return slot_set_steal(o, off, PyFloat_FromDouble(v));
-}
-
-/* occupancy word: span <= 64 guarantees it fits an unsigned 64-bit */
-static int
-slot_get_ull(PyObject *o, Py_ssize_t off, unsigned long long *out)
-{
-    PyObject *v = slot_get(o, off);
-    unsigned long long r;
-    if (v == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "unset slot");
-        return -1;
-    }
-    r = PyLong_AsUnsignedLongLong(v);
-    if (r == (unsigned long long)-1 && PyErr_Occurred())
-        return -1;
-    *out = r;
-    return 0;
-}
-
-static inline int
-ctz64(unsigned long long x)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    return __builtin_ctzll(x);
-#else
-    int n = 0;
-    while (!(x & 1ULL)) {
-        x >>= 1;
-        n++;
-    }
-    return n;
-#endif
 }
 
 /* ------------------------------------------------------------------ */
@@ -253,34 +203,6 @@ rec_time(PyObject *rec, double *out)
     return 0;
 }
 
-/* (time, seq) ordering -- exactly the tuple-compare contract (seqs are
- * unique, so Python's comparison never reaches the payload) */
-static int
-rec_cmp(PyObject *a, PyObject *b, int *err)
-{
-    double ta, tb;
-    long long sa, sb;
-    if (rec_check(a) || rec_check(b) || rec_time(a, &ta) || rec_time(b, &tb)) {
-        *err = 1;
-        return 0;
-    }
-    if (ta < tb)
-        return -1;
-    if (ta > tb)
-        return 1;
-    sa = PyLong_AsLongLong(PyTuple_GET_ITEM(a, 1));
-    if (sa == -1 && PyErr_Occurred()) {
-        *err = 1;
-        return 0;
-    }
-    sb = PyLong_AsLongLong(PyTuple_GET_ITEM(b, 1));
-    if (sb == -1 && PyErr_Occurred()) {
-        *err = 1;
-        return 0;
-    }
-    return (sa < sb) ? -1 : (sa > sb ? 1 : 0);
-}
-
 static PyObject *
 mk_rec(double t, long long seq, long code, PyObject *payload, long pos)
 {
@@ -321,13 +243,11 @@ typedef struct {
     PyObject *holders;    /* strong, list */
     PyObject *fifos;      /* strong, list of lists */
     PyObject *fifo_heads; /* strong, list of ints */
-    PyObject *buckets;    /* strong, list (queue ring) */
-    PyObject *overflow;   /* strong, list (queue spill heap) */
+    PyObject *heap;       /* strong, list (the queue's heapq heap) */
     PyObject *on_clone;   /* strong or NULL */
     PyObject *on_complete;/* strong or NULL */
     PyObject *arrivals;   /* strong or NULL */
-    long long span, qmask;
-    double arr_next;      /* live mirror of engine._arr_next */
+    double arr_next;      /* arrivals.next_time (inf without arrivals) */
     double horizon;
     long long remaining;  /* live event budget (attr synced at callouts) */
     Py_ssize_t nch;
@@ -340,8 +260,7 @@ ctx_clear(Ctx *c)
     Py_CLEAR(c->holders);
     Py_CLEAR(c->fifos);
     Py_CLEAR(c->fifo_heads);
-    Py_CLEAR(c->buckets);
-    Py_CLEAR(c->overflow);
+    Py_CLEAR(c->heap);
     Py_CLEAR(c->on_clone);
     Py_CLEAR(c->on_complete);
     Py_CLEAR(c->arrivals);
@@ -352,7 +271,7 @@ static int
 ctx_init(Ctx *c, PyObject *engine)
 {
     PyObject *v;
-    long long cov, seq;
+    long long seq;
     memset(c, 0, sizeof(*c));
     c->engine = engine;
 
@@ -362,32 +281,16 @@ ctx_init(Ctx *c, PyObject *engine)
     if (Py_TYPE(c->events) != queue_type)
         goto decline;
 
-    if (slot_get_ll(c->events, q_span, &c->span))
-        goto decline_clear;
-    if (c->span < 1 || c->span > 64)
-        goto decline;
-    if (slot_get_ll(c->events, q_mask, &c->qmask))
-        goto decline_clear;
-    if (slot_get_ll(c->events, q_cov, &cov))
-        goto decline_clear;
-    if (cov < 0 || cov > COV_MAX)
-        goto decline;
     if (slot_get_ll(c->events, q_seq, &seq))
         goto decline_clear;
     if (seq < 0 || seq > SEQ_MAX)
         goto decline;
 
-    v = slot_get(c->events, q_buckets);
-    if (v == NULL || !PyList_CheckExact(v) ||
-        PyList_GET_SIZE(v) != (Py_ssize_t)c->span)
-        goto decline;
-    Py_INCREF(v);
-    c->buckets = v;
-    v = slot_get(c->events, q_overflow);
+    v = slot_get(c->events, q_heap);
     if (v == NULL || !PyList_CheckExact(v))
         goto decline;
     Py_INCREF(v);
-    c->overflow = v;
+    c->heap = v;
 
     c->holders = PyObject_GetAttr(engine, s_holders);
     if (c->holders == NULL)
@@ -569,191 +472,153 @@ fifo_pop(Ctx *c, long ch)
 }
 
 /* ------------------------------------------------------------------ */
-/* calendar queue (EventQueue) natives                                 */
+/* event heap (EventQueue._heap): heapq's algorithm, in place         */
 
-/* bisect.insort by (time, seq) */
+/* heapq's ``<`` on records: (time, seq) order -- seqs are unique, so the
+ * comparison never reaches the payload.  Float times and int seqs (every
+ * record the engine pushes) compare as raw doubles and long longs
+ * without running any Python code; anything else -- an int timestamp
+ * pushed through the public API, say -- takes Python's own tuple
+ * comparison.  1 / 0, or -1 on error. */
 static int
-run_insort(PyObject *run, PyObject *rec)
+rec_lt(PyObject *a, PyObject *b)
 {
-    Py_ssize_t lo = 0, hi = PyList_GET_SIZE(run);
-    int err = 0;
-    while (lo < hi) {
-        Py_ssize_t mid = (lo + hi) >> 1;
-        int cr = rec_cmp(rec, PyList_GET_ITEM(run, mid), &err);
-        if (err)
-            return -1;
-        if (cr < 0)
-            hi = mid;
-        else
-            lo = mid + 1;
+    int r;
+    if (PyTuple_CheckExact(a) && PyTuple_CheckExact(b) &&
+        PyTuple_GET_SIZE(a) >= 2 && PyTuple_GET_SIZE(b) >= 2) {
+        PyObject *ta = PyTuple_GET_ITEM(a, 0), *tb = PyTuple_GET_ITEM(b, 0);
+        if (PyFloat_CheckExact(ta) && PyFloat_CheckExact(tb)) {
+            double x = PyFloat_AS_DOUBLE(ta), y = PyFloat_AS_DOUBLE(tb);
+            PyObject *sa, *sb;
+            if (x < y)
+                return 1;
+            if (x > y)
+                return 0;
+            sa = PyTuple_GET_ITEM(a, 1);
+            sb = PyTuple_GET_ITEM(b, 1);
+            if (x == y && PyLong_CheckExact(sa) && PyLong_CheckExact(sb)) {
+                int oa, ob;
+                long long p = PyLong_AsLongLongAndOverflow(sa, &oa);
+                long long q = PyLong_AsLongLongAndOverflow(sb, &ob);
+                if (!oa && !ob)
+                    return p < q;
+            }
+        }
     }
-    return PyList_Insert(run, lo, rec);
+    Py_INCREF(a);
+    Py_INCREF(b);
+    r = PyObject_RichCompareBool(a, b, Py_LT);
+    Py_DECREF(a);
+    Py_DECREF(b);
+    return r;
 }
 
-/* EventQueue._push_record.  Off-grid magnitudes (t >= 2^52, or a
- * coverage edge past it) delegate to the Python method, which handles
- * any finite float. */
+/* heapq._siftdown: move heap[pos] toward the root */
 static int
-q_push_record(Ctx *c, PyObject *rec)
+heap_siftdown(PyObject *heap, Py_ssize_t startpos, Py_ssize_t pos)
 {
-    PyObject *events = c->events;
-    PyObject *tobj = PyTuple_GET_ITEM(rec, 0);
-    double t, nt;
-    long long cov;
-    t = PyFloat_AsDouble(tobj);
-    if (t == -1.0 && PyErr_Occurred())
-        return -1;
-    if (!(t < TIME_MAX))
-        goto python_push;
-    if (slot_get_ll(events, q_cov, &cov)) {
-        PyErr_Clear();
-        goto python_push;
-    }
-    if (cov > (1LL << 53))
-        goto python_push;
-
-    if (t < (double)cov) {
-        PyObject *run = slot_get(events, q_run);
-        Py_ssize_t n;
-        int err = 0;
-        if (run == NULL || !PyList_CheckExact(run)) {
-            PyErr_SetString(PyExc_RuntimeError, "corrupt calendar segment");
+    Py_ssize_t size = PyList_GET_SIZE(heap);
+    PyObject **arr = ((PyListObject *)heap)->ob_item;
+    while (pos > startpos) {
+        Py_ssize_t parentpos = (pos - 1) >> 1;
+        PyObject *parent;
+        int lt = rec_lt(arr[pos], arr[parentpos]);
+        if (lt < 0)
+            return -1;
+        if (size != PyList_GET_SIZE(heap)) {
+            PyErr_SetString(PyExc_RuntimeError,
+                            "event heap changed size during a sift");
             return -1;
         }
-        n = PyList_GET_SIZE(run);
-        if (n == 0 || rec_cmp(rec, PyList_GET_ITEM(run, n - 1), &err) > 0) {
-            if (err)
-                return -1;
-            if (PyList_Append(run, rec))
-                return -1;
-        }
-        else {
-            if (err)
-                return -1;
-            if (run_insort(run, rec))
-                return -1;
-        }
+        if (!lt)
+            break;
+        arr = ((PyListObject *)heap)->ob_item;
+        parent = arr[parentpos];
+        arr[parentpos] = arr[pos];
+        arr[pos] = parent;
+        pos = parentpos;
     }
-    else {
-        long long win = (long long)t;
-        long long d = win - cov;
-        if (slot_get_double(events, q_next, &nt))
-            return -1;
-        if (d < c->span) {
-            long long slot = win & c->qmask;
-            unsigned long long occ;
-            if (PyList_Append(PyList_GET_ITEM(c->buckets, slot), rec))
-                return -1;
-            if (slot_get_ull(events, q_occ, &occ))
-                return -1;
-            occ |= 1ULL << slot;
-            if (slot_set_steal(events, q_occ,
-                               PyLong_FromUnsignedLongLong(occ)))
-                return -1;
-        }
-        else if (nt == INFINITY) {
-            /* idle queue: re-anchor the segment at this event */
-            PyObject *newrun = PyList_New(1);
-            if (newrun == NULL)
-                return -1;
-            Py_INCREF(rec);
-            PyList_SET_ITEM(newrun, 0, rec);
-            if (slot_set_steal(events, q_run, newrun))
-                return -1;
-            if (slot_set_ll(events, q_idx, 0))
-                return -1;
-            if (slot_set_ll(events, q_cov, win + c->span))
-                return -1;
-            return slot_set(events, q_next, tobj);
-        }
-        else {
-            PyObject *r = PyObject_CallFunctionObjArgs(heappush_fn,
-                                                       c->overflow, rec,
-                                                       NULL);
-            if (r == NULL)
-                return -1;
-            Py_DECREF(r);
-        }
-    }
-    if (slot_get_double(events, q_next, &nt))
-        return -1;
-    if (t < nt)
-        return slot_set(events, q_next, tobj);
     return 0;
+}
 
-python_push:
-    {
-        PyObject *r = PyObject_CallMethodObjArgs(events, s_push_record, rec,
-                                                 NULL);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
+/* heapq._siftup: bubble the smaller child up to a leaf, then sift down */
+static int
+heap_siftup(PyObject *heap, Py_ssize_t pos)
+{
+    Py_ssize_t endpos = PyList_GET_SIZE(heap), startpos = pos;
+    Py_ssize_t limit = endpos >> 1;
+    PyObject **arr = ((PyListObject *)heap)->ob_item;
+    while (pos < limit) {
+        Py_ssize_t childpos = 2 * pos + 1;
+        PyObject *tmp;
+        if (childpos + 1 < endpos) {
+            int lt = rec_lt(arr[childpos], arr[childpos + 1]);
+            if (lt < 0)
+                return -1;
+            if (endpos != PyList_GET_SIZE(heap)) {
+                PyErr_SetString(PyExc_RuntimeError,
+                                "event heap changed size during a sift");
+                return -1;
+            }
+            childpos += !lt;
+            arr = ((PyListObject *)heap)->ob_item;
+        }
+        tmp = arr[childpos];
+        arr[childpos] = arr[pos];
+        arr[pos] = tmp;
+        pos = childpos;
+    }
+    return heap_siftdown(heap, startpos, pos);
+}
+
+/* heapq.heappush */
+static int
+heap_push(Ctx *c, PyObject *rec)
+{
+    if (PyList_Append(c->heap, rec))
+        return -1;
+    return heap_siftdown(c->heap, 0, PyList_GET_SIZE(c->heap) - 1);
+}
+
+/* heapq.heappop of a non-empty heap; returns a new reference */
+static PyObject *
+heap_pop(Ctx *c)
+{
+    PyObject *heap = c->heap, *last, *top;
+    Py_ssize_t n = PyList_GET_SIZE(heap);
+    /* drop the last slot; its reference moves to us (shrinking ob_size
+     * keeps the list valid, and the spare capacity serves the next push) */
+    last = PyList_GET_ITEM(heap, n - 1);
+    Py_SET_SIZE(heap, n - 1);
+    if (n == 1)
+        return last;
+    top = PyList_GET_ITEM(heap, 0);
+    PyList_SET_ITEM(heap, 0, last); /* steals last; top's ref is ours */
+    if (heap_siftup(heap, 0)) {
+        Py_DECREF(top);
+        return NULL;
+    }
+    return top;
+}
+
+/* timestamp of the heap head (the queue's next event), inf when empty */
+static inline int
+heap_next(Ctx *c, double *out)
+{
+    PyObject *head, *t;
+    if (PyList_GET_SIZE(c->heap) == 0) {
+        *out = INFINITY;
         return 0;
     }
-}
-
-/* EventQueue._refresh_next */
-static int
-q_refresh_next(Ctx *c)
-{
-    PyObject *events = c->events;
-    unsigned long long occ;
-    Py_ssize_t ovn = PyList_GET_SIZE(c->overflow);
-    if (slot_get_ull(events, q_occ, &occ))
+    head = PyList_GET_ITEM(c->heap, 0);
+    if (rec_check(head))
         return -1;
-    if (occ) {
-        long long cov, s, nw;
-        unsigned long long hi;
-        PyObject *bucket, *best, *tobj;
-        Py_ssize_t bn, i;
-        int err = 0;
-        if (slot_get_ll(events, q_cov, &cov))
-            return -1;
-        s = cov & c->qmask;
-        hi = (s < 64) ? (occ >> s) : 0;
-        if (hi)
-            nw = cov + ctz64(hi);
-        else {
-            unsigned long long lo = occ & ((s < 64) ? ((1ULL << s) - 1)
-                                                    : ~0ULL);
-            nw = cov + (c->span - s) + ctz64(lo);
-        }
-        bucket = PyList_GET_ITEM(c->buckets, nw & c->qmask);
-        bn = PyList_GET_SIZE(bucket);
-        if (bn == 0) {
-            PyErr_SetString(PyExc_RuntimeError,
-                            "occupancy bit set on an empty bucket");
-            return -1;
-        }
-        best = PyList_GET_ITEM(bucket, 0);
-        for (i = 1; i < bn; i++) {
-            PyObject *it = PyList_GET_ITEM(bucket, i);
-            if (rec_cmp(it, best, &err) < 0)
-                best = it;
-            if (err)
-                return -1;
-        }
-        tobj = PyTuple_GET_ITEM(best, 0);
-        if (ovn) {
-            PyObject *ov0 = PyList_GET_ITEM(c->overflow, 0);
-            double bt, ot;
-            if (rec_check(ov0) || rec_time(ov0, &ot))
-                return -1;
-            bt = PyFloat_AsDouble(tobj);
-            if (bt == -1.0 && PyErr_Occurred())
-                return -1;
-            if (ot < bt)
-                tobj = PyTuple_GET_ITEM(ov0, 0);
-        }
-        return slot_set(events, q_next, tobj);
+    t = PyTuple_GET_ITEM(head, 0);
+    if (PyFloat_CheckExact(t)) {
+        *out = PyFloat_AS_DOUBLE(t);
+        return 0;
     }
-    if (ovn) {
-        PyObject *ov0 = PyList_GET_ITEM(c->overflow, 0);
-        if (rec_check(ov0))
-            return -1;
-        return slot_set(events, q_next, PyTuple_GET_ITEM(ov0, 0));
-    }
-    return slot_set_double(events, q_next, INFINITY);
+    return rec_time(head, out);
 }
 
 /* ------------------------------------------------------------------ */
@@ -916,7 +781,7 @@ ctx_finish_routing(Ctx *c, PyObject *worm, double t)
     rec = mk_rec(t + (double)(m + first - h), seq, ev_release_c, worm, first);
     if (rec == NULL)
         return -1;
-    if (q_push_record(c, rec)) {
+    if (heap_push(c, rec)) {
         Py_DECREF(rec);
         return -1;
     }
@@ -980,7 +845,7 @@ ctx_grant_slow(Ctx *c, PyObject *worm, long ch, double t)
         Py_DECREF(rec);
         return -1;
     }
-    if (q_push_record(c, rec)) {
+    if (heap_push(c, rec)) {
         Py_DECREF(rec);
         return -1;
     }
@@ -988,8 +853,14 @@ ctx_grant_slow(Ctx *c, PyObject *worm, long ch, double t)
     return 0;
 }
 
-/* WormEngine._ballistic: closed-form replay of the whole remaining
- * hop/drain chain (preconditions proven by ctx_grant_fast) */
+/* Ballistic completion: closed-form replay of the whole remaining
+ * hop/drain chain (preconditions proven by ctx_grant_fast: message no
+ * shorter than the path, so no early tail releases; no per-hop hooks;
+ * channels path[k0:] idle; no waiters behind the held rear; no queued
+ * event or arrival at or before the final drain release).  It does
+ * exactly what the stepped WormEngine._grant/_drain chain would do --
+ * the same clock accumulation, reserved drain-sequence block, hook
+ * calls and hook clocks, and event budget -- without the scheduler. */
 static int
 ctx_ballistic(Ctx *c, PyObject *worm, double t, long k0, long long total)
 {
@@ -1112,8 +983,8 @@ fail_path:
     return -1;
 }
 
-/* WormEngine._grant_fast: grant + free-path fast-forward + the
- * ballistic-completion gate */
+/* WormEngine._grant with fast=True: grant + free-path fast-forward,
+ * behind the ballistic-completion gate */
 static int
 ctx_grant_fast(Ctx *c, PyObject *worm, long ch, double t)
 {
@@ -1142,7 +1013,7 @@ ctx_grant_fast(Ctx *c, PyObject *worm, long ch, double t)
         long long total = 2LL * h - k0 - 1;
         double t_end = t + (double)(h - k0 + m);
         double qn;
-        if (slot_get_double(c->events, q_next, &qn))
+        if (heap_next(c, &qn))
             goto done;
         if (remaining >= total && t_end <= horizon && qn > t_end &&
             arr_next > t_end) {
@@ -1174,7 +1045,7 @@ ctx_grant_fast(Ctx *c, PyObject *worm, long ch, double t)
             }
         }
     }
-    if (slot_get_double(c->events, q_next, &flimit))
+    if (heap_next(c, &flimit))
         goto done;
     if (arr_next < flimit)
         flimit = arr_next;
@@ -1202,7 +1073,7 @@ ctx_grant_fast(Ctx *c, PyObject *worm, long ch, double t)
         if (pos >= 1) {
             if (ctx_release_position(c, worm, pos, t))
                 goto done;
-            if (slot_get_double(c->events, q_next, &flimit))
+            if (heap_next(c, &flimit))
                 goto done;
             if (arr_next < flimit)
                 flimit = arr_next;
@@ -1237,7 +1108,7 @@ ctx_grant_fast(Ctx *c, PyObject *worm, long ch, double t)
             if (rec == NULL)
                 goto done;
             if (slot_set_ll(c->events, q_seq, seq + 1) ||
-                q_push_record(c, rec)) {
+                heap_push(c, rec)) {
                 Py_DECREF(rec);
                 goto done;
             }
@@ -1299,21 +1170,17 @@ ctx_inject(Ctx *c, PyObject *worm, double t, int fast)
     if (done)
         return 0;
     if (c->arrivals != NULL) {
-        /* refresh the cached arrival head (see WormEngine.inject) */
+        /* refresh the cached arrival head: an arrival fires, advances
+         * the stream's head and spawns worms *before* control returns
+         * to the loop, so the head being consumed right now is stale */
         PyObject *nt = PyObject_GetAttr(c->arrivals, s_next_time);
         double d;
         if (nt == NULL)
             return -1;
         d = PyFloat_AsDouble(nt);
-        if (d == -1.0 && PyErr_Occurred()) {
-            Py_DECREF(nt);
-            return -1;
-        }
-        if (PyObject_SetAttr(c->engine, s_arr_next, nt)) {
-            Py_DECREF(nt);
-            return -1;
-        }
         Py_DECREF(nt);
+        if (d == -1.0 && PyErr_Occurred())
+            return -1;
         c->arr_next = d;
     }
     if (eng_add_ll(c->engine, s_active_worms, 1))
@@ -1338,7 +1205,7 @@ ctx_inject(Ctx *c, PyObject *worm, double t, int fast)
     return ctx_block(c, worm, ch, t);
 }
 
-/* the inline EV_RELEASE drain chain of WormEngine.run_events */
+/* WormEngine._drain (on_release is None in C mode) */
 static int
 ctx_drain(Ctx *c, PyObject *worm, long pos, long long seq, double t,
           double arr_t)
@@ -1362,7 +1229,7 @@ ctx_drain(Ctx *c, PyObject *worm, long pos, long long seq, double t,
     Py_INCREF(clones);
     if (worm_get_long(worm, w_H, &dh))
         goto done;
-    if (slot_get_double(c->events, q_next, &flimit))
+    if (heap_next(c, &flimit))
         goto done;
     if (arr_t < flimit)
         flimit = arr_t;
@@ -1376,7 +1243,7 @@ ctx_drain(Ctx *c, PyObject *worm, long pos, long long seq, double t,
             if (r == NULL)
                 goto done;
             Py_DECREF(r);
-            if (slot_get_double(c->events, q_next, &flimit))
+            if (heap_next(c, &flimit))
                 goto done;
             if (arr_t < flimit)
                 flimit = arr_t;
@@ -1397,7 +1264,7 @@ ctx_drain(Ctx *c, PyObject *worm, long pos, long long seq, double t,
                 Py_DECREF(w2);
                 if (grc)
                     goto done;
-                if (slot_get_double(c->events, q_next, &flimit))
+                if (heap_next(c, &flimit))
                     goto done;
                 if (arr_t < flimit)
                     flimit = arr_t;
@@ -1419,7 +1286,7 @@ ctx_drain(Ctx *c, PyObject *worm, long pos, long long seq, double t,
             PyObject *rec2 = mk_rec(u, seq, ev_release_c, worm, pos);
             if (rec2 == NULL)
                 goto done;
-            if (q_push_record(c, rec2)) {
+            if (heap_push(c, rec2)) {
                 Py_DECREF(rec2);
                 goto done;
             }
@@ -1458,8 +1325,7 @@ cstep_run_events(PyObject *self, PyObject *args)
     long long limit;
     Ctx c;
     int rc, bounced = 0;
-    PyObject *prev_rem = NULL, *prev_hor = NULL, *prev_arr = NULL,
-             *prev_arrn = NULL;
+    PyObject *prev_rem = NULL, *prev_hor = NULL, *prev_arr = NULL;
     PyObject *result = NULL;
     double arr_t;
 
@@ -1490,9 +1356,7 @@ cstep_run_events(PyObject *self, PyObject *args)
     prev_rem = PyObject_GetAttr(engine, s_remaining);
     prev_hor = PyObject_GetAttr(engine, s_horizon);
     prev_arr = PyObject_GetAttr(engine, s_arrivals);
-    prev_arrn = PyObject_GetAttr(engine, s_arr_next);
-    if (prev_rem == NULL || prev_hor == NULL || prev_arr == NULL ||
-        prev_arrn == NULL)
+    if (prev_rem == NULL || prev_hor == NULL || prev_arr == NULL)
         goto fail_no_restore;
     if (eng_set_ll(engine, s_remaining, limit))
         goto fail;
@@ -1519,122 +1383,32 @@ cstep_run_events(PyObject *self, PyObject *args)
     }
     else
         arr_t = INFINITY;
-    {
-        PyObject *a = PyFloat_FromDouble(arr_t);
-        if (a == NULL || PyObject_SetAttr(engine, s_arr_next, a)) {
-            Py_XDECREF(a);
-            goto fail;
-        }
-        Py_DECREF(a);
-    }
     c.remaining = limit;
     c.horizon = horizon;
     c.arr_next = arr_t;
 
     while (c.remaining > 0) {
         double qnext;
-        if (slot_get_double(c.events, q_next, &qnext))
+        if (heap_next(&c, &qnext))
             goto fail;
-        if (qnext <= arr_t) {
-            long long cov, idx;
-            PyObject *run, *rec;
+        if (PyList_GET_SIZE(c.heap) > 0 && qnext <= arr_t) {
+            PyObject *rec;
             double time;
             long code;
             if (qnext > horizon)
                 break;
-            if (!(qnext < TIME_MAX)) { /* overflow timestamps: not modelled */
+            if (!(qnext < TIME_MAX)) { /* far-future timestamps: not modelled */
                 bounced = 1;
                 break;
             }
-            if (slot_get_ll(c.events, q_cov, &cov)) {
-                PyErr_Clear();
-                bounced = 1;
-                break;
-            }
-            if (cov > COV_MAX) {
-                bounced = 1;
-                break;
-            }
-            /* inline calendar pop (EventQueue._pop_record) */
-            if (qnext < (double)cov) {
-                run = slot_get(c.events, q_run);
-                if (run == NULL || !PyList_CheckExact(run)) {
-                    PyErr_SetString(PyExc_RuntimeError,
-                                    "corrupt calendar segment");
-                    goto fail;
-                }
-                Py_INCREF(run);
-                if (slot_get_ll(c.events, q_idx, &idx)) {
-                    Py_DECREF(run);
-                    goto fail;
-                }
-                if (idx < 0 || idx >= PyList_GET_SIZE(run)) {
-                    Py_DECREF(run);
-                    PyErr_SetString(PyExc_RuntimeError,
-                                    "calendar cursor out of range");
-                    goto fail;
-                }
-                rec = PyList_GET_ITEM(run, idx);
-                Py_INCREF(rec);
-                idx += 1;
-                if (idx == (long long)trim_len) {
-                    if (PyList_SetSlice(run, 0, trim_len, NULL) < 0) {
-                        Py_DECREF(rec);
-                        Py_DECREF(run);
-                        goto fail;
-                    }
-                    idx = 0;
-                }
-                if (slot_set_ll(c.events, q_idx, idx)) {
-                    Py_DECREF(rec);
-                    Py_DECREF(run);
-                    goto fail;
-                }
-            }
-            else {
-                run = PyObject_CallMethodObjArgs(c.events, s_refill, NULL);
-                if (run == NULL)
-                    goto fail;
-                if (!PyList_CheckExact(run) || PyList_GET_SIZE(run) == 0) {
-                    Py_DECREF(run);
-                    PyErr_SetString(PyExc_RuntimeError,
-                                    "refill returned an empty segment");
-                    goto fail;
-                }
-                rec = PyList_GET_ITEM(run, 0);
-                Py_INCREF(rec);
-                idx = 1;
-                if (slot_set_ll(c.events, q_idx, 1)) {
-                    Py_DECREF(rec);
-                    Py_DECREF(run);
-                    goto fail;
-                }
-            }
-            if (rec_check(rec) || rec_time(rec, &time)) {
+            rec = heap_pop(&c);
+            if (rec == NULL)
+                goto fail;
+            if (rec_check(rec) || rec_time(rec, &time) ||
+                slot_set(c.events, q_now, PyTuple_GET_ITEM(rec, 0))) {
                 Py_DECREF(rec);
-                Py_DECREF(run);
                 goto fail;
             }
-            if (slot_set(c.events, q_now, PyTuple_GET_ITEM(rec, 0))) {
-                Py_DECREF(rec);
-                Py_DECREF(run);
-                goto fail;
-            }
-            if (idx < PyList_GET_SIZE(run)) {
-                PyObject *nrec = PyList_GET_ITEM(run, idx);
-                if (rec_check(nrec) ||
-                    slot_set(c.events, q_next, PyTuple_GET_ITEM(nrec, 0))) {
-                    Py_DECREF(rec);
-                    Py_DECREF(run);
-                    goto fail;
-                }
-            }
-            else if (q_refresh_next(&c)) {
-                Py_DECREF(rec);
-                Py_DECREF(run);
-                goto fail;
-            }
-            Py_DECREF(run);
             c.remaining -= 1;
             code = PyLong_AsLong(PyTuple_GET_ITEM(rec, 2));
             if (code == -1 && PyErr_Occurred()) {
@@ -1754,10 +1528,6 @@ cstep_run_events(PyObject *self, PyObject *args)
                 Py_DECREF(res);
                 goto fail;
             }
-            if (PyObject_SetAttr(engine, s_arr_next, res)) {
-                Py_DECREF(res);
-                goto fail;
-            }
             Py_DECREF(res);
             c.arr_next = arr_t;
             if (eng_get_ll(engine, s_remaining, &c.remaining))
@@ -1774,7 +1544,6 @@ fail:
     if (prev_rem != NULL) {
         /* restore even on error; chain any restore failure */
         if (PyObject_SetAttr(engine, s_arrivals, prev_arr) ||
-            PyObject_SetAttr(engine, s_arr_next, prev_arrn) ||
             PyObject_SetAttr(engine, s_horizon, prev_hor) ||
             PyObject_SetAttr(engine, s_remaining, prev_rem))
             Py_CLEAR(result);
@@ -1783,7 +1552,6 @@ fail_no_restore:
     Py_XDECREF(prev_rem);
     Py_XDECREF(prev_hor);
     Py_XDECREF(prev_arr);
-    Py_XDECREF(prev_arrn);
     ctx_clear(&c);
     return result;
 }
@@ -1824,17 +1592,6 @@ cstep_inject(PyObject *self, PyObject *args)
             goto err;
         c.horizon = d;
     }
-    {
-        PyObject *a = PyObject_GetAttr(engine, s_arr_next);
-        double d;
-        if (a == NULL)
-            goto err;
-        d = PyFloat_AsDouble(a);
-        Py_DECREF(a);
-        if (d == -1.0 && PyErr_Occurred())
-            goto err;
-        c.arr_next = d;
-    }
     arr = PyObject_GetAttr(engine, s_arrivals);
     if (arr == NULL)
         goto err;
@@ -1842,6 +1599,8 @@ cstep_inject(PyObject *self, PyObject *args)
         Py_DECREF(arr);
     else
         c.arrivals = arr;
+    /* ctx_inject refreshes it from the arrival stream when there is one */
+    c.arr_next = INFINITY;
 
     rc = ctx_inject(&c, worm, t, fast);
     if (rc == 0 && eng_set_ll(engine, s_remaining, c.remaining))
@@ -1885,20 +1644,15 @@ member_offset(PyTypeObject *tp, const char *name)
 static PyObject *
 cstep_configure(PyObject *self, PyObject *args)
 {
-    PyObject *wt, *qt, *hp;
+    PyObject *wt, *qt;
     long evq, evr, evi;
-    Py_ssize_t trim;
     long long compact;
-    if (!PyArg_ParseTuple(args, "OOOlllnL:configure", &wt, &qt, &hp, &evq,
-                          &evr, &evi, &trim, &compact))
+    if (!PyArg_ParseTuple(args, "OOlllL:configure", &wt, &qt, &evq, &evr,
+                          &evi, &compact))
         return NULL;
     if (!PyType_Check(wt) || !PyType_Check(qt)) {
         PyErr_SetString(PyExc_TypeError,
                         "configure() wants (WormType, QueueType, ...)");
-        return NULL;
-    }
-    if (!PyCallable_Check(hp)) {
-        PyErr_SetString(PyExc_TypeError, "heappush must be callable");
         return NULL;
     }
     configured = 0;
@@ -1926,15 +1680,7 @@ cstep_configure(PyObject *self, PyObject *args)
     W_OFF(w_clones, "clone_positions");
     W_OFF(w_blocked, "blocked_on");
     W_OFF(w_done, "done");
-    Q_OFF(q_next, "next_time");
-    Q_OFF(q_run, "_run");
-    Q_OFF(q_idx, "_idx");
-    Q_OFF(q_cov, "_cov");
-    Q_OFF(q_buckets, "_buckets");
-    Q_OFF(q_span, "_span");
-    Q_OFF(q_mask, "_mask");
-    Q_OFF(q_occ, "_occ");
-    Q_OFF(q_overflow, "_overflow");
+    Q_OFF(q_heap, "_heap");
     Q_OFF(q_seq, "_seq");
     Q_OFF(q_now, "_now");
 #undef W_OFF
@@ -1944,12 +1690,9 @@ cstep_configure(PyObject *self, PyObject *args)
     Py_XSETREF(worm_type, (PyTypeObject *)wt);
     Py_INCREF(qt);
     Py_XSETREF(queue_type, (PyTypeObject *)qt);
-    Py_INCREF(hp);
-    Py_XSETREF(heappush_fn, hp);
     ev_request_c = evq;
     ev_release_c = evr;
     ev_inject_c = evi;
-    trim_len = trim;
     fifo_compact = compact;
     configured = 1;
     Py_RETURN_NONE;
@@ -1959,8 +1702,8 @@ cstep_configure(PyObject *self, PyObject *args)
 
 static PyMethodDef cstep_methods[] = {
     {"configure", cstep_configure, METH_VARARGS,
-     "configure(Worm, EventQueue, heappush, EV_REQUEST, EV_RELEASE, "
-     "EV_INJECT, trim, fifo_compact)\n\nResolve slot offsets against the "
+     "configure(Worm, EventQueue, EV_REQUEST, EV_RELEASE, EV_INJECT, "
+     "fifo_compact)\n\nResolve slot offsets against the "
      "live classes; must be called before run_events/inject."},
     {"run_events", cstep_run_events, METH_VARARGS,
      "run_events(engine, horizon, max_events, arrivals) -> (fired, "
@@ -2000,13 +1743,10 @@ PyInit__cstep(void)
     INTERN(s_on_acquire, "_on_acquire");
     INTERN(s_on_release, "_on_release");
     INTERN(s_arrivals, "_arrivals");
-    INTERN(s_arr_next, "_arr_next");
     INTERN(s_horizon, "_horizon");
     INTERN(s_remaining, "_remaining");
     INTERN(s_active_worms, "active_worms");
     INTERN(s_recover, "_recover");
-    INTERN(s_refill, "_refill");
-    INTERN(s_push_record, "_push_record");
     INTERN(s_next_time, "next_time");
     INTERN(s_fire, "fire");
 #undef INTERN

@@ -37,17 +37,17 @@ The block arrays also pre-resolve destinations (uniform integer draw with
 the self-exclusion shift, or CDF inversion for weighted patterns), so the
 consumer just reads ``(time, node, dest)`` triples.
 
-Merge point with the calendar kernel (ENGINE_VERSION 3)
--------------------------------------------------------
+Merge point with the kernels
+----------------------------
 The fused dispatch loop merges this stream against the event queue by
-comparing ``next_time`` heads, and caches the arrival head on the engine
-between firings so the free-path fast-forward checks are plain float
-compares.  Two ordering details are load-bearing there: ``fire`` updates
-``next_time`` *before* invoking ``spawn`` (the engine re-reads the head
-at injection, so a freshly spawned worm fast-forwards against the *next*
-arrival, not the one being consumed), and ties between an event and an
-arrival at the same timestamp fire the event first -- both properties
-are pinned by the calendar/heap differential suite.
+comparing ``next_time`` heads; the free-path fast-forward checks read
+the arrival head too (the compiled kernel caches it between firings).
+Two ordering details are load-bearing there: ``fire`` updates
+``next_time`` *before* invoking ``spawn`` (a freshly spawned worm
+fast-forwards against the *next* arrival, not the one being consumed),
+and ties between an event and an arrival at the same timestamp fire the
+event first -- both properties are pinned by the golden-seed suite and
+the c/python differential suite.
 """
 
 from __future__ import annotations
@@ -345,7 +345,7 @@ class MergedArrivalStream(PoissonArrivalStream):
     bit-compatibility (a non-Poisson process has no legacy realisation
     to match): all randomness is consumed from the run's seeded
     generator in merge order, so a fixed seed yields one fixed arrival
-    realisation on every kernel (heapq, calendar, c) and every executor.
+    realisation on both kernels (python, c) and every executor.
     The Poisson classes keep their own specialised ``_refill`` bodies,
     so this subclass cannot perturb the golden-pinned hot path.
     """

@@ -1,7 +1,7 @@
 """Availability gate for the optional compiled stepper (:mod:`_cstep`).
 
 The C extension is *optional*: the repo must remain fully functional --
-tests green, ``kernel="auto"`` resolving sensibly -- on a machine with
+tests green, ``kernel="auto"`` resolving to ``"python"`` -- on a machine with
 no C compiler.  This module is the single place that knows whether the
 extension imported, configured itself against the live class layouts,
 and is therefore safe to drive; everything else asks :func:`available`
@@ -19,7 +19,6 @@ string surfaced in run provenance and ``python -m repro kernels``.
 
 from __future__ import annotations
 
-import heapq
 import os
 from typing import Optional
 
@@ -42,24 +41,16 @@ else:
 
 if _imported is not None:
     try:
-        from repro.sim.engine import (
-            _TRIM,
-            EV_INJECT,
-            EV_RELEASE,
-            EV_REQUEST,
-            EventQueue,
-        )
+        from repro.sim.engine import EV_INJECT, EV_RELEASE, EV_REQUEST, EventQueue
         from repro.sim.state import _FIFO_COMPACT
         from repro.sim.worm import Worm
 
         _imported.configure(
             Worm,
             EventQueue,
-            heapq.heappush,
             EV_REQUEST,
             EV_RELEASE,
             EV_INJECT,
-            _TRIM,
             _FIFO_COMPACT,
         )
     except Exception as exc:  # pragma: no cover - layout-drift safety net

@@ -1,30 +1,12 @@
 """Discrete-event kernel: a deterministic time-ordered typed event queue.
 
-Two interchangeable queue implementations live here:
-
-:class:`EventQueue` (the default kernel) is an **array-backed calendar
-queue** exploiting the simulator's integer-offset event grid: the engine
-only ever schedules at ``now + k`` for small integer ``k`` (header hops
-and drain releases are one cycle apart; the completion release lands at
-most ``message_length`` cycles out), so events are binned by integer
-time window into a ring of FIFO buckets.  The calendar is consumed in
-*segments*: all windows below a coverage edge are flattened into one
-ascending array -- sorted once, at C speed, by exactly the heap's
-``(time, seq)`` contract, so simultaneous events still fire in insertion
-order (or reserved-sequence order) and runs are exactly reproducible for
-a fixed seed -- and popped by cursor: two subscripts and an increment,
-no sift, no per-event comparison traffic.  New events below the edge
-take one C ``bisect.insort`` into the live segment; events past the edge
-are bucket appends, and far-future or off-grid timestamps spill into a
-small overflow heap, so semantics never narrow: *any* finite float
-timestamp is accepted, it just does not take the fast path.  The "when
-is the next event?" question the engine keeps asking is a plain
-attribute read (:attr:`EventQueue.next_time`).
-
-:class:`HeapEventQueue` is the frozen ENGINE_VERSION-2 :mod:`heapq`
-kernel, kept as the differential-testing and benchmarking reference
-(see ``tests/test_calendar_queue.py`` and the ``kernel_speedup`` entry
-of ``benchmarks/bench_perf_sim.py``).
+:class:`EventQueue` is a :mod:`heapq` binary heap of records ordered by
+``(time, seq)``: simultaneous events fire in insertion order (or
+reserved-sequence order), so runs are exactly reproducible for a fixed
+seed.  The simulator's pending-event population is shallow (a handful
+of records per in-flight worm), which is C heapq's best case; an
+array-backed calendar queue over the integer-offset event grid was
+measured at 0.80x of it at N=64 and removed (ENGINE_VERSION 5).
 
 Events are *typed records* ``(time, seq, code, payload, pos)`` rather than
 closures: the engine's hot loop dispatches on the integer ``code`` without
@@ -46,14 +28,14 @@ A queue *bound* to a :class:`~repro.sim.wormengine.WormEngine` delegates
 externally generated arrivals and performs free-path fast-forwarding); an
 unbound queue can only fire ``EV_CALL`` events.
 
-Arrival generation is deliberately *outside* every kernel, including the
+Arrival generation is deliberately *outside* both kernels, including the
 compiled one: each kernel merges the arrival stream through the same
 narrow protocol (``arrivals.next_time`` + ``arrivals.fire(t)``), and the
 C fast path (``kernel="c"``) calls ``fire`` back into Python per
 arrival.  That boundary is what makes the traffic-source subsystem
 (:mod:`repro.traffic.sources`) kernel-agnostic: CBR, ON/OFF, hotspot and
-trace-replay streams are plain Python objects, yet every kernel --
-heapq, calendar, compiled -- consumes them bit-identically (covered by
+trace-replay streams are plain Python objects, yet the Python and the
+compiled kernel consume them bit-identically (covered by
 ``tests/test_c_kernel.py`` and the traffic differential suite).  A new
 source therefore never requires touching kernel code; the cost is one
 Python call per *message*, which is amortised across the ~hundreds of
@@ -64,8 +46,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import insort
-from heapq import heappop, heappush
 from typing import Any, Callable
 
 __all__ = [
@@ -75,7 +55,6 @@ __all__ = [
     "EV_INJECT",
     "EV_CALL",
     "EventQueue",
-    "HeapEventQueue",
 ]
 
 #: behavioural version of the simulation kernel, stamped into cached
@@ -86,8 +65,7 @@ __all__ = [
 #: and free-path fast-forwarding (bit-identical results to 1, proven by
 #: the golden-seed suite); 3 = array-backed calendar queue over the
 #: integer-offset event grid with a fully fused dispatch/release hot
-#: path, the v2 heapq kernel retained as :class:`HeapEventQueue` +
-#: :class:`~repro.sim.wormengine.HeapWormEngine` for differential
+#: path, the v2 heapq kernel retained alongside it for differential
 #: testing (bit-identical results to 2: the golden-seed suite passed
 #: unchanged and the randomized calendar/heap differential suite diffs
 #: fire orders exactly); 4 = flat structure-of-arrays channel state
@@ -96,8 +74,13 @@ __all__ = [
 #: with mid-run bounce to the pure-Python kernel for anything the native
 #: loop does not model (bit-identical results to 3 whether or not the
 #: extension is built: golden-seed suite and the three-way
-#: c/calendar/heap differential suite).
-ENGINE_VERSION = 4
+#: c/calendar/heap differential suite); 5 = one pure-Python kernel (the
+#: v2 heapq hot path, ``kernel="python"``) and its C transcription over
+#: the same heap (``kernel="c"``), the calendar queue and the ``auto``
+#: pending-depth policy removed -- the kernel names stamped into cache
+#: entries changed (bit-identical results to 4: golden-seed suite and
+#: the c/python differential suite).
+ENGINE_VERSION = 5
 
 EV_REQUEST = 0
 EV_RELEASE = 1
@@ -106,79 +89,21 @@ EV_CALL = 3
 
 _INF = math.inf
 
-#: consumed-prefix length at which the live segment is compacted
-_TRIM = 1024
-
 
 class EventQueue:
-    """Calendar-queue event scheduler with deterministic tie-breaking.
+    """:mod:`heapq` event scheduler with deterministic tie-breaking.
 
-    Time is binned into unit-width windows, ``int(t)`` of the timestamps.
-    The queue consumes the calendar in **segments**: the windows below
-    the coverage edge ``_cov`` are flattened into one ascending array
-    (``_run``) -- sorted once, C-speed -- and consumed by cursor
-    (``_idx``); a pop is two subscripts and an increment, with no
-    comparison traffic at all.  Events pushed below the edge are filed
-    into the live segment with one C ``bisect.insort`` (new timestamps
-    are always at or past the cursor, so the cursor never invalidates);
-    events at or past the edge are appended to the ring bucket of their
-    window (``_buckets[int(t) & (span - 1)]``, occupancy tracked in the
-    ``_occ`` bitmask) and far-future or off-grid records beyond the ring
-    spill into the small ``_overflow`` heap, so semantics never narrow.
-    When the segment is exhausted the next refill drains every ring
-    bucket (plus newly due overflow records) into the next segment and
-    advances the edge by ``span`` windows; when the queue is completely
-    idle -- light load drains it between arrivals all the time -- the
-    next push re-anchors the segment at the clock instead.
-
-    Ordering is exactly the heap's contract, ``(time, seq)``: segments
-    sort records lexicographically, so simultaneous events still fire in
-    insertion order (or reserved-sequence order) and runs are exactly
-    reproducible for a fixed seed.
-
-    Invariants the hot path relies on (the engine's fused loop inlines
-    the pop sequence of :meth:`_pop_record` -- keep the two in sync):
-
-    * every record with ``time < _cov`` lives in ``_run`` at position
-      ``>= _idx``; ring windows lie in ``[_cov, _cov + span)``, so
-      distinct windows never share a bucket;
-    * ``next_time`` is the timestamp of the queue's global head, and
-      ``next_time == inf`` iff the queue is empty (there is no size
-      counter on the hot path); the head record is ``_run[_idx]`` iff
-      ``next_time < _cov``;
-    * bit ``w & mask`` of ``_occ`` is set iff ring bucket ``w`` is
-      non-empty.
+    Records live in ``_heap`` ordered by ``(time, seq)``; ``seq`` is
+    unique, so a comparison never reaches the payload.  The engine's
+    fused loop (and the compiled kernel) pop and push ``_heap`` directly
+    rather than through these methods: at the event rates it runs at,
+    even one Python method call per event is a measurable tax.
     """
 
-    __slots__ = (
-        "next_time",
-        "_run",
-        "_idx",
-        "_cov",
-        "_buckets",
-        "_span",
-        "_mask",
-        "_occ",
-        "_overflow",
-        "_seq",
-        "_now",
-        "_engine",
-    )
+    __slots__ = ("_heap", "_seq", "_now", "_engine")
 
-    def __init__(self, span: int = 64) -> None:
-        if span < 4 or span & (span - 1):
-            raise ValueError(f"span must be a power of two >= 4, got {span}")
-        self._span = span
-        self._mask = span - 1
-        self._run: list[tuple[float, int, int, Any, int]] = []
-        self._idx = 0
-        self._cov = span
-        self._buckets: list[list[tuple[float, int, int, Any, int]]] = [
-            [] for _ in range(span)
-        ]
-        self._occ = 0
-        self._overflow: list[tuple[float, int, int, Any, int]] = []
-        self.next_time = _INF
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, int, int, Any, int]] = []
         self._seq = 0
         self._now = 0.0
         self._engine = None
@@ -189,20 +114,13 @@ class EventQueue:
         return self._now
 
     def __len__(self) -> int:
-        # not a counter: emptiness on the hot path is next_time == inf,
-        # and an exact count is only ever wanted at bookkeeping points
-        return (
-            len(self._run) - self._idx
-            + sum(map(len, self._buckets))
-            + len(self._overflow)
-        )
+        return len(self._heap)
 
     def bind_engine(self, engine) -> None:
         """Attach the :class:`WormEngine` that dispatches typed events;
         :meth:`run_until` then runs the engine's fused loop."""
         self._engine = engine
 
-    # ------------------------------------------------------------------ #
     def push(self, time: float, code: int, payload: Any, pos: int = 0) -> None:
         """Schedule a typed event record at ``time``.
 
@@ -222,133 +140,18 @@ class EventQueue:
                 f"cannot schedule at {time} (now={self._now}): timestamps "
                 "must be finite, non-NaN and never behind the clock"
             )
-        rec = (time, self._seq, code, payload, pos)
+        heapq.heappush(self._heap, (time, self._seq, code, payload, pos))
         self._seq += 1
-        self._push_record(rec)
 
     def schedule(self, time: float, action: Callable[[], None]) -> None:
         """Schedule a plain callable to fire at ``time`` (``EV_CALL``)."""
         self.push(time, EV_CALL, action)
 
-    def _push_record(self, rec: tuple) -> None:
-        """File one record (its ``seq`` already assigned, possibly from a
-        reserved block) into the live segment, the ring or the overflow
-        heap."""
-        t = rec[0]
-        if t < self._cov:
-            # the common engine push is the latest pending event: one
-            # tail compare beats the log-n bisect it would otherwise pay
-            run = self._run
-            if not run or rec > run[-1]:
-                run.append(rec)
-            else:
-                insort(run, rec)
-        else:
-            win = int(t)
-            d = win - self._cov
-            if d < self._span:
-                slot = win & self._mask
-                self._buckets[slot].append(rec)
-                self._occ |= 1 << slot
-            elif self.next_time == _INF:
-                # idle queue: re-anchor the segment at this event rather
-                # than spilling the next burst to the overflow heap
-                self._run = [rec]
-                self._idx = 0
-                self._cov = win + self._span
-                self.next_time = t
-                return
-            else:
-                heappush(self._overflow, rec)
-        if t < self.next_time:
-            self.next_time = t
-
-    # ------------------------------------------------------------------ #
-    def _refill(self) -> list:
-        """The live segment is exhausted and the head lies at or past the
-        coverage edge: drain every ring bucket (and newly due overflow
-        records) into a fresh sorted segment and advance the edge.
-        Returns the new non-empty segment."""
-        run: list = []
-        buckets = self._buckets
-        occ = self._occ
-        while occ:
-            bit = occ & -occ
-            bucket = buckets[bit.bit_length() - 1]
-            run.extend(bucket)
-            bucket.clear()
-            occ ^= bit
-        self._occ = 0
-        new_cov = self._cov + self._span
-        ov = self._overflow
-        if not run and ov:
-            # head lives beyond the ring: jump the segment to it
-            new_cov = int(ov[0][0]) + self._span
-        while ov and ov[0][0] < new_cov:
-            run.append(heappop(ov))
-        run.sort()
-        self._run = run
-        self._idx = 0
-        self._cov = new_cov
-        self.next_time = run[0][0]
-        return run
-
-    def _refresh_next(self) -> None:
-        """The live segment just emptied: recompute the queue head from
-        the ring (one C-speed bit scan over the occupancy mask, cyclic
-        from the coverage edge) and the overflow heap."""
-        occ = self._occ
-        ov = self._overflow
-        if occ:
-            mask = self._mask
-            cov = self._cov
-            s = cov & mask
-            hi = occ >> s
-            if hi:
-                nw = cov + ((hi & -hi).bit_length() - 1)
-            else:
-                lo = occ & ((1 << s) - 1)
-                nw = cov + (self._span - s) + ((lo & -lo).bit_length() - 1)
-            t = min(self._buckets[nw & mask])[0]
-            if ov and ov[0][0] < t:
-                t = ov[0][0]
-            self.next_time = t
-        elif ov:
-            self.next_time = ov[0][0]
-        else:
-            self.next_time = _INF
-
     def _pop_record(self) -> tuple:
-        """Remove and return the queue's head record, advancing the
-        clock to its timestamp."""
-        t = self.next_time
-        if t == _INF:
-            raise IndexError("pop from an empty event queue")
-        if t < self._cov:
-            run = self._run
-            idx = self._idx
-            rec = run[idx]
-            idx += 1
-            if idx == _TRIM:
-                # shed the consumed prefix so a segment that never
-                # exhausts (pushes outpacing pops for a long stretch)
-                # cannot grow without bound or slow the insort bisects
-                del run[:_TRIM]
-                idx = 0
-            self._idx = idx
-        else:
-            run = self._refill()
-            rec = run[0]
-            idx = 1
-            self._idx = 1
+        rec = heapq.heappop(self._heap)
         self._now = rec[0]
-        if idx < len(run):
-            self.next_time = run[idx][0]
-        else:
-            self._refresh_next()
         return rec
 
-    # ------------------------------------------------------------------ #
     def pop(self) -> tuple[float, Any]:
         """Remove and return the next ``(time, payload)`` pair.
 
@@ -372,99 +175,6 @@ class EventQueue:
         Bound queues delegate to the engine's dispatch loop; unbound
         queues fire ``EV_CALL`` events only.
         """
-        if self._engine is not None:
-            return self._engine.run_events(horizon, max_events=max_events)
-        fired = 0
-        while True:
-            t = self.next_time
-            if t > horizon or t == _INF:
-                break  # the inf check matters when horizon is inf itself
-            if max_events is not None and fired >= max_events:
-                break
-            rec = self._pop_record()
-            if rec[2] != EV_CALL:
-                raise RuntimeError(
-                    f"typed event (code {rec[2]}) on a queue with no bound engine"
-                )
-            rec[3]()
-            fired += 1
-        return fired
-
-    def peek_time(self) -> float | None:
-        """Timestamp of the next event, or None if the queue is empty."""
-        t = self.next_time
-        return t if t != _INF else None
-
-
-class HeapEventQueue:
-    """The frozen ENGINE_VERSION-2 :mod:`heapq` kernel.
-
-    Kept verbatim (bar the shared kernel-edge fixes: the exact past-event
-    guard and the typed-record ``pop`` guard) as the reference
-    implementation for the randomized calendar/heap differential suite
-    and the ``kernel_speedup`` A/B benchmark.  Use it with
-    :class:`~repro.sim.wormengine.HeapWormEngine`, or unbound.
-    """
-
-    __slots__ = ("_heap", "_seq", "_now", "_engine")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Any, int]] = []
-        self._seq = 0
-        self._now = 0.0
-        self._engine = None
-
-    @property
-    def now(self) -> float:
-        """Current simulation time (the timestamp of the last fired event)."""
-        return self._now
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def bind_engine(self, engine) -> None:
-        """Attach the :class:`HeapWormEngine` that dispatches typed events;
-        :meth:`run_until` then runs the engine's fused loop."""
-        self._engine = engine
-
-    def push(self, time: float, code: int, payload: Any, pos: int = 0) -> None:
-        """Schedule a typed event record at ``time``.
-
-        Scheduling in the past -- or at an unorderable time (NaN,
-        infinity) -- is a programming error and raises (exact check,
-        same contract as :meth:`EventQueue.push`).
-        """
-        if not (self._now <= time < _INF):
-            raise ValueError(
-                f"cannot schedule at {time} (now={self._now}): timestamps "
-                "must be finite, non-NaN and never behind the clock"
-            )
-        heapq.heappush(self._heap, (time, self._seq, code, payload, pos))
-        self._seq += 1
-
-    def schedule(self, time: float, action: Callable[[], None]) -> None:
-        """Schedule a plain callable to fire at ``time`` (``EV_CALL``)."""
-        self.push(time, EV_CALL, action)
-
-    def _pop_record(self) -> tuple:
-        rec = heapq.heappop(self._heap)
-        self._now = rec[0]
-        return rec
-
-    def pop(self) -> tuple[float, Any]:
-        """Remove and return the next ``(time, payload)`` pair (``EV_CALL``
-        records only, same contract as :meth:`EventQueue.pop`)."""
-        rec = self._pop_record()
-        if rec[2] != EV_CALL:
-            raise RuntimeError(
-                f"typed event (code {rec[2]}) popped through the EV_CALL "
-                "accessor; bound queues are drained by the engine loop"
-            )
-        return rec[0], rec[3]
-
-    def run_until(self, horizon: float, *, max_events: int | None = None) -> int:
-        """Fire events until the queue is empty or the next event would be
-        after ``horizon``.  Returns the number of events fired."""
         if self._engine is not None:
             return self._engine.run_events(horizon, max_events=max_events)
         fired = 0

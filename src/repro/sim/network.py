@@ -45,49 +45,8 @@ from repro.sim.wormengine import KERNELS
 from repro.topology.base import Topology
 from repro.traffic.sources import DEFAULT_SOURCE, SourceSpec
 
-__all__ = ["AUTO_KERNEL_MIN_NODES", "AUTO_KERNEL_DEPTH", "KERNELS",
-           "resolve_auto_kernel", "SimConfig", "SimResult",
-           "NocSimulator", "MulticastTransaction"]
-
-#: network size at which ``kernel="auto"``'s *prior* (used before any
-#: run has been observed) switches from the heapq kernel to the
-#: calendar kernel.  The measured crossover on the reference container:
-#: with the paper-sized networks the pending-event population is
-#: shallow (1-10 records) and C heapq wins (~0.83x for the calendar on
-#: bench_perf_sim[64]); at N=1024 near saturation the pending set
-#: reaches thousands and the calendar's O(1) scheduling reaches and
-#: crosses parity.  See README "Performance" and BENCH_perf_sim.json's
-#: kernel_speedup entries.
-AUTO_KERNEL_MIN_NODES = 512
-
-#: observed pending-event depth at which ``kernel="auto"`` switches a
-#: *repeat* run from the heapq kernel to the calendar kernel.  Once a
-#: simulator instance has completed a run it knows the peak number of
-#: records the scheduler actually held, which predicts the heap/calendar
-#: crossover far better than the node count (a 1024-node network at low
-#: load still has a shallow queue; a small network near saturation does
-#: not).  The threshold sits between the shallow regime (tens of
-#: records, heapq's home turf) and the deep regime (thousands, where
-#: the calendar's O(1) scheduling wins).
-AUTO_KERNEL_DEPTH = 256
-
-
-def resolve_auto_kernel(num_nodes: int, observed_depth: Optional[int] = None) -> str:
-    """Pick the kernel ``kernel="auto"`` should use for the next run.
-
-    The compiled dispatch fast path wins in every measured regime
-    (shallow and deep), so it is chosen whenever the extension is
-    built.  Between the pure-Python kernels the choice is the observed
-    peak pending-event depth of the previous run when one is available
-    (:data:`AUTO_KERNEL_DEPTH`), falling back to the node-count prior
-    (:data:`AUTO_KERNEL_MIN_NODES`) for a first run.  Every kernel is
-    bit-identical, so re-resolving between runs never changes results.
-    """
-    if "c" in KERNELS:
-        return "c"
-    if observed_depth is not None:
-        return "calendar" if observed_depth >= AUTO_KERNEL_DEPTH else "heap"
-    return "calendar" if num_nodes >= AUTO_KERNEL_MIN_NODES else "heap"
+__all__ = ["KERNELS", "SimConfig", "SimResult", "NocSimulator",
+           "MulticastTransaction"]
 
 
 @dataclass
@@ -143,10 +102,6 @@ class SimResult:
     #: resolved kernel that executed this run (provenance; ``"auto"``
     #: never appears here)
     kernel: str = ""
-    #: peak pending-event depth observed at bookkeeping checks -- the
-    #: signal the ``"auto"`` policy uses to pick the kernel for a repeat
-    #: run on the same simulator instance
-    peak_pending: int = 0
     #: label of the traffic source that drove this run (provenance,
     #: mirroring the ``kernel`` stamp; ``"poisson"`` for the default)
     source: str = "poisson"
@@ -668,15 +623,12 @@ class NocSimulator:
         contention; use it for deadlock-freedom studies, not for the
         model-validation runs.
     kernel:
-        Event-scheduler implementation: a :data:`KERNELS` key, or the
-        default ``"auto"``, which resolves via
-        :func:`resolve_auto_kernel` -- the compiled fast path when the
-        extension is built, otherwise the heapq kernel for shallow
-        pending queues and the calendar kernel for deep ones, judged
-        by the node-count prior on a first run and by the previous
-        run's observed peak pending depth on repeats.  Results are
-        bit-identical for every choice; the resolved name is exposed
-        as ``self.kernel`` and stamped into ``SimResult.kernel``.
+        Event-scheduler implementation: a :data:`KERNELS` key
+        (``"python"``, or ``"c"`` when the extension is built), or the
+        default ``"auto"``: ``"c"`` when the extension is built,
+        ``"python"`` otherwise.  Results are bit-identical for every
+        choice; the resolved name is exposed as ``self.kernel`` and
+        stamped into ``SimResult.kernel``.
     """
 
     def __init__(
@@ -691,10 +643,8 @@ class NocSimulator:
     ):
         if lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {lanes}")
-        self.kernel_policy = kernel
-        self._observed_depth: Optional[int] = None
         if kernel == "auto":
-            kernel = resolve_auto_kernel(topology.num_nodes)
+            kernel = "c" if "c" in KERNELS else "python"
         if kernel not in KERNELS:
             raise ValueError(
                 f"unknown kernel {kernel!r}; known: {sorted(KERNELS) + ['auto']}"
@@ -830,7 +780,7 @@ class NocSimulator:
             exact timestamps (see :class:`_FaultContext` for the kill
             semantics).  Forces the pure-Python engine (documented
             bounce on the compiled kernel), which keeps results
-            bit-identical across all three kernels.
+            bit-identical across both kernels.
         qos:
             Optional :class:`~repro.faults.QoSSpec`: each message draws
             a traffic class from a dedicated deterministic stream and
@@ -856,8 +806,6 @@ class NocSimulator:
                 spec = replace(spec, unicast_weights=weights)
         n = self.topology.num_nodes
         rng = np.random.default_rng(config.seed)
-        if self.kernel_policy == "auto" and self._observed_depth is not None:
-            self.kernel = resolve_auto_kernel(n, self._observed_depth)
         queue_cls, engine_cls = KERNELS[self.kernel]
         events = queue_cls()
         state = _RunState(config.warmup_cycles)
@@ -1002,15 +950,11 @@ class NocSimulator:
         target_met = want_unicast == 0 and want_multicast == 0
         saturated = False
         fired_total = 0
-        peak_pending = 0
         while (len(events) > 0 or arrivals.pending) and events.now <= config.max_cycles:
             fired = engine.run_events(
                 config.max_cycles, config.check_interval, arrivals
             )
             fired_total += fired
-            depth = len(events)
-            if depth > peak_pending:
-                peak_pending = depth
             if fired == 0:
                 break
             if engine.active_worms > max_in_flight:
@@ -1042,12 +986,10 @@ class NocSimulator:
             target_met=target_met,
             utilization=util_tracer,
             kernel=self.kernel,
-            peak_pending=peak_pending,
             source=source.label,
             nominal_load=nominal,
             offered_load=measured,
             fault_drops=ctx.dropped_messages if ctx is not None else 0,
             monitors=ctx.finalize(engine) if ctx is not None else None,
         )
-        self._observed_depth = peak_pending
         return result

@@ -45,7 +45,7 @@ def run_scripted(
     scripted: Sequence[ScriptedWorm],
     *,
     max_cycles: float = 100_000.0,
-    kernel: str = "calendar",
+    kernel: str = "python",
 ) -> dict[int, FlitLevelResult]:
     """Replay ``scripted`` worms through the worm engine.
 
@@ -54,6 +54,8 @@ def run_scripted(
     convenient differential workload because every channel conflict in
     them is deliberate.
     """
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; known: {sorted(KERNELS)}")
     queue_cls, engine_cls = KERNELS[kernel]
     events = queue_cls()
     tracer = _RecordingTracer()

@@ -15,7 +15,7 @@ per-channel container objects:
   check, identical to the deque representation this replaces.
 
 The layout is deliberately primitive: three lists of scalars/objects,
-no container methods on the hot path.  The pure-Python kernels index
+no container methods on the hot path.  The pure-Python kernel indexes
 them directly, and the compiled stepper (:mod:`repro.sim._cstep`, when
 built) walks the very same lists through the C API -- ``PyList_GET_ITEM``
 plus a cursor increment -- so there is exactly one store of channel
@@ -41,8 +41,8 @@ _FIFO_COMPACT = 32
 class ChannelState:
     """Holder + waiter-queue state for a dense channel index space.
 
-    Invariants (relied on by the Python kernels and the C stepper --
-    keep all three in sync with any change here):
+    Invariants (relied on by the Python kernel and the C stepper --
+    keep both in sync with any change here):
 
     * ``fifos[ch]`` is truthy iff channel ``ch`` has at least one queued
       waiter (popping the last waiter clears the list eagerly);

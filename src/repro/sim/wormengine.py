@@ -10,20 +10,11 @@ brute-force per-flit simulator (:mod:`repro.sim.reference`).
 
 The engine owns the simulator's hot loop, :meth:`WormEngine.run_events`:
 a single dispatch over typed event records (:mod:`repro.sim.engine`)
-merged with an optional externally generated arrival stream.  Three
+merged with an optional externally generated arrival stream.  Two
 properties make it fast without changing a single timestamp:
 
 * **No per-event closures.**  Header hops and drain releases are integer-
   coded records dispatched inline, not scheduled lambdas.
-
-* **Calendar scheduling.**  Pending events live in the
-  :class:`~repro.sim.engine.EventQueue` ring of unit-width time windows:
-  a push is a bucket append, a pop is a ``list.pop`` off the sorted
-  current window, and the "when is the next event?" questions the loop
-  and the fast-forward checks keep asking are one attribute read
-  (``events.next_time``), not a heap peek.  The arrival stream's head is
-  likewise cached on the engine (``_arr_next``) between arrival firings,
-  so the per-hop interference test is two float compares.
 
 * **Free-path fast-forwarding.**  When a header acquires position ``k``
   at time ``t`` and nothing in the system can interfere before ``t + 1``
@@ -39,29 +30,22 @@ properties make it fast without changing a single timestamp:
   ordinary scheduled request, whose sequence number ordering reproduces
   the legacy tie-breaking exactly.
 
-:class:`HeapWormEngine` preserves the ENGINE_VERSION-2 hot path verbatim
-over :class:`~repro.sim.engine.HeapEventQueue`, for the differential
-suite and the ``kernel_speedup`` A/B benchmark.
+:class:`CWormEngine` runs the same loop in C (:mod:`repro.sim._cstep`)
+when the optional extension is built, and additionally completes
+isolated worms ballistically; :class:`WormEngine` is its behavioural
+oracle.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import insort
 from heapq import heappop, heappush
 from typing import Optional, Protocol
 
 from repro.sim import cext
 from repro.sim.deadlock import choose_victim, find_wait_cycle
-from repro.sim.engine import (
-    _TRIM,
-    EV_INJECT,
-    EV_RELEASE,
-    EV_REQUEST,
-    EventQueue,
-    HeapEventQueue,
-)
+from repro.sim.engine import EV_INJECT, EV_RELEASE, EV_REQUEST, EventQueue
 from repro.sim.state import ChannelState
 from repro.sim.worm import Worm
 
@@ -71,7 +55,6 @@ __all__ = [
     "NullTracer",
     "ArrivalSource",
     "WormEngine",
-    "HeapWormEngine",
     "CWormEngine",
     "c_kernel_status",
 ]
@@ -79,11 +62,11 @@ __all__ = [
 _NO_LIMIT = sys.maxsize
 
 
-#: kernel name -> (event queue class, engine class).  "calendar" is the
-#: v3 segment-calendar kernel, "heap" the frozen v2 heapq reference.
-#: Both produce bit-identical results (enforced by
-#: tests/test_calendar_queue.py), so the knob selects *speed* per
-#: regime, never outcomes.
+#: kernel name -> (event queue class, engine class).  "python" is the
+#: pure-Python heapq kernel, "c" its compiled transcription (registered
+#: only when the extension is built).  Both produce bit-identical results
+#: (enforced by tests/test_c_kernel.py), so the knob selects *speed*,
+#: never outcomes.
 KERNELS = {}  # populated below, after the classes exist
 
 
@@ -139,8 +122,7 @@ class WormEngine:
     The engine owns channel state (holder + FIFO per channel) and drives
     worms through their paths; completion, releases and clone absorptions
     are reported through the :class:`Tracer`.  It schedules through the
-    calendar :class:`EventQueue`; hand it a :class:`HeapEventQueue` and
-    you want :class:`HeapWormEngine` instead.
+    :class:`EventQueue`, pushing and popping its ``_heap`` directly.
     """
 
     def __init__(
@@ -149,11 +131,6 @@ class WormEngine:
         events: EventQueue,
         tracer: Optional[Tracer] = None,
     ):
-        if isinstance(events, HeapEventQueue):
-            raise TypeError(
-                "WormEngine schedules through the calendar EventQueue; "
-                "pair HeapEventQueue with HeapWormEngine"
-            )
         self.events = events
         self.tracer: Tracer = tracer if tracer is not None else NullTracer()
         # flat channel state (see repro.sim.state): one store of truth
@@ -172,9 +149,9 @@ class WormEngine:
         self._on_release = getattr(hooked, "on_release", None)
         self._on_clone = getattr(hooked, "on_clone_absorbed", None)
         self._on_complete = getattr(hooked, "on_complete", None)
+        self._heap = events._heap
         # fast-forward window state, valid only inside run_events
         self._arrivals: Optional[ArrivalSource] = None
-        self._arr_next = math.inf
         self._horizon = -math.inf
         self._remaining = 0
         events.bind_engine(self)
@@ -190,26 +167,10 @@ class WormEngine:
         on exact ties) until both are past ``horizon`` or ``max_events``
         have fired.  Returns the number of events fired; free-path fast
         hops, fast-chained drain releases and consumed arrivals each
-        count as one event.
-
-        The calendar pop/advance/refresh sequence is inlined here (it
-        mirrors :meth:`EventQueue._pop_record` exactly -- keep the two in
-        sync): at the event rates this loop runs at, even one Python
-        method call per event is a measurable tax.
-        """
+        count as one event."""
         events = self.events
+        heap = self._heap
         holders = self.holders
-        fifos = self.fifos
-        fpop = self._fifo_pop
-        on_clone = self._on_clone
-        on_release = self._on_release
-        # hoist module globals into fast locals: the loop below touches
-        # them once or twice per fired event
-        trim = _TRIM
-        ev_request = EV_REQUEST
-        ev_release = EV_RELEASE
-        ev_inject = EV_INJECT
-        ins = insort
         limit = _NO_LIMIT if max_events is None else max_events
         # save the window state so neither a nested call (an EV_CALL
         # callback re-entering run_until) nor an exception escaping a
@@ -217,118 +178,32 @@ class WormEngine:
         prev_remaining = self._remaining
         prev_horizon = self._horizon
         prev_arrivals = self._arrivals
-        prev_arr_next = self._arr_next
         self._remaining = limit
         self._horizon = horizon
         self._arrivals = arrivals
         arr_t = arrivals.next_time if arrivals is not None else math.inf
-        self._arr_next = arr_t
         try:
             while self._remaining > 0:
-                qnext = events.next_time
-                if qnext <= arr_t:
-                    if qnext > horizon:
-                        break
-                    # -- inline calendar pop (EventQueue._pop_record);
-                    # segment state is re-read every iteration because an
-                    # EV_CALL callback may have re-entered run_until and
-                    # advanced -- or refilled -- the queue under us
-                    if qnext < events._cov:
-                        run = events._run
-                        idx = events._idx
-                        rec = run[idx]
-                        idx += 1
-                        if idx == trim:
-                            del run[:trim]
-                            idx = 0
-                        events._idx = idx
-                    else:
-                        run = events._refill()
-                        rec = run[0]
-                        idx = 1
-                        events._idx = 1
+                if heap and heap[0][0] <= arr_t:
+                    rec = heap[0]
                     time = rec[0]
+                    if time > horizon:
+                        break
+                    heappop(heap)
                     events._now = time
-                    try:
-                        events.next_time = run[idx][0]
-                    except IndexError:  # segment exhausted: look past it
-                        events._refresh_next()
                     self._remaining -= 1
                     code = rec[2]
-                    if code == ev_request:
+                    if code == EV_REQUEST:
                         worm = rec[3]
                         if not worm.done:
                             ch = worm.path[worm.ptr]
                             if holders[ch] is None:
-                                self._grant_fast(worm, ch, time)
+                                self._grant(worm, ch, time, fast=True)
                             else:
                                 self._block(worm, ch, time)
-                    elif code == ev_release:
-                        # -- inline drain chain (the EV_RELEASE branch is
-                        # the only caller; HeapWormEngine keeps the v2
-                        # method).  Fire the release of ``pos`` now and
-                        # fast-chain the remaining one-cycle-apart
-                        # releases while nothing can interfere; on any
-                        # possible interference, re-enter the queue with
-                        # the next reserved sequence number.
-                        worm = rec[3]
-                        pos = rec[4]
-                        seq = rec[1]
-                        dpath = worm.path
-                        clones = worm.clone_positions
-                        dh = worm.H
-                        t = time
-                        remaining = self._remaining
-                        flimit = events.next_time
-                        if arr_t < flimit:
-                            flimit = arr_t
-                        while True:
-                            # the common release (no hooks, channel still
-                            # held, no waiter) runs without leaving this
-                            # frame; anything that can push an event
-                            # refreshes the interference limit
-                            if on_clone is not None and pos in clones:
-                                on_clone(worm, pos, t + 1.0)
-                                flimit = events.next_time
-                                if arr_t < flimit:
-                                    flimit = arr_t
-                            ch = dpath[pos - 1]
-                            if holders[ch] is worm:
-                                if on_release is not None:
-                                    on_release(worm, pos, t)
-                                    flimit = events.next_time
-                                    if arr_t < flimit:
-                                        flimit = arr_t
-                                holders[ch] = None
-                                if fifos[ch]:
-                                    self._grant(fpop(ch), ch, t)
-                                    flimit = events.next_time
-                                    if arr_t < flimit:
-                                        flimit = arr_t
-                            if pos >= dh:
-                                break
-                            pos += 1
-                            seq += 1
-                            u = t + 1.0
-                            if remaining > 0 and u < flimit and u <= horizon:
-                                remaining -= 1
-                                events._now = u
-                                t = u
-                                continue
-                            rec2 = (u, seq, ev_release, worm, pos)
-                            if u < events._cov:
-                                drun = events._run
-                                if not drun or rec2 > drun[-1]:
-                                    drun.append(rec2)
-                                else:
-                                    ins(drun, rec2)
-                                if u < events.next_time:
-                                    events.next_time = u
-                            else:
-                                events._push_record(rec2)
-                            break
-                        self._remaining = remaining
-                    elif code == ev_inject:
+                    elif code == EV_RELEASE:
+                        self._drain(rec[3], rec[4], time, rec[1])
+                    elif code == EV_INJECT:
                         self.inject(rec[3], time)
                     else:  # EV_CALL
                         rec[3]()
@@ -336,13 +211,11 @@ class WormEngine:
                     events._now = arr_t
                     self._remaining -= 1
                     arr_t = arrivals.fire(arr_t)
-                    self._arr_next = arr_t
                 else:
                     break
             fired = limit - self._remaining
         finally:
             self._arrivals = prev_arrivals
-            self._arr_next = prev_arr_next
             self._horizon = prev_horizon
             self._remaining = prev_remaining
         return fired
@@ -365,15 +238,6 @@ class WormEngine:
         saturation cutoff with worms that no longer existed."""
         if worm.done:
             return
-        # injection is the one fast-forward entry the dispatch loop does
-        # not precede: an arrival fires, advances the stream's head, and
-        # spawns worms *before* control returns to the loop -- so the
-        # engine's cached arrival head must be refreshed here or the
-        # free-path checks below would compare against the arrival that
-        # is being consumed right now
-        arrivals = self._arrivals
-        if arrivals is not None:
-            self._arr_next = arrivals.next_time
         self.active_worms += 1
         self._request(worm, t, fast=fast)
 
@@ -396,116 +260,27 @@ class WormEngine:
             self._recover(cycle, t)
 
     def _grant(self, worm: Worm, ch: int, t: float, fast: bool = False) -> None:
-        """Grant ``ch`` to ``worm`` at ``t`` without fast-forwarding (the
-        wake-up path out of a release).  ``fast=True`` delegates to
-        :meth:`_grant_fast`, which may only be used from dispatch depth
-        (it consumes the run window's event budget)."""
-        if fast:
-            self._grant_fast(worm, ch, t)
-            return
-        holders = self.holders
-        holders[ch] = worm
-        worm.blocked_on = None
-        worm.acq_times.append(t)
-        worm.ptr += 1
-        k = worm.ptr
-        if self._on_acquire is not None:
-            self._on_acquire(worm, k, t)
-        # early tail release: for messages shorter than the path, the
-        # tail leaves position k - M exactly when the header acquires
-        # position k
-        pos = k - worm.message_length
-        if pos >= 1:
-            self._release_position(worm, pos, t)
-        if k >= worm.H:
-            self._finish_routing(worm, t)
-            return
-        u = t + 1.0
-        events = self.events
-        rec = (u, events._seq, EV_REQUEST, worm, 0)
-        events._seq += 1
-        events._push_record(rec)  # wake-up path: not hot, no inline copy
+        """Grant ``ch`` to ``worm`` at ``t``.
 
-    def _grant_fast(self, worm: Worm, ch: int, t: float) -> None:
-        """Grant ``ch`` to ``worm`` at ``t`` and free-path fast-forward:
-        while nothing in the system can interfere before the next hop --
-        no queued event and no arrival at or before ``t + 1`` (events at
-        exactly ``t + 1`` were scheduled earlier and must keep their
-        priority), the next channel idle, budget and horizon permitting
-        -- execute the hop immediately instead of round-tripping through
-        the queue.  A release below may wake a waiter whose follow-up
-        request lands at ``t + 1``; the ``next_time`` check sees it and
-        falls back, preserving FIFO order.  The event budget is kept in a
-        local and written back on every exit: nothing reached from here
-        reads it (wake-up grants never fast-forward).
-
-        **Ballistic completion** widens the fast-forward window from one
-        hop to the worm's whole remaining lifetime: when per-hop
-        observation is off (no acquire/release hooks), the message is no
-        shorter than its path (the paper's own operating assumption, so
-        there are no early tail releases), every channel ahead is idle,
-        no worm is queued behind a channel already held, and neither the
-        event queue nor the arrival stream holds anything at or before
-        the worm's final drain release, then *no step of the remaining
-        hop/drain chain can observe or influence anything outside the
-        worm itself* -- the per-hop checks the one-hop kernel would run
-        are all decided in advance.  The chain is therefore executed as
-        one closed-form replay: the same acquisition timestamps (clock
-        accumulated ``+1.0`` per step, so every float is bit-identical
-        to the stepped kernel's), the same reserved drain-sequence
-        block, the same clone-absorption hook calls, the same event
-        budget -- one event per hop and per drain release -- without
-        round-tripping the scheduler.  Any condition it cannot prove
-        falls through to the stepped loop below, which remains exact.
-        """
+        ``fast=True`` (dispatch depth only: it consumes the run window's
+        event budget) adds free-path fast-forwarding: while nothing in
+        the system can interfere before the next hop -- no queued event
+        and no arrival at or before ``t + 1`` (events at exactly
+        ``t + 1`` were scheduled earlier and must keep their priority),
+        the next channel idle, budget and horizon permitting -- execute
+        the hop immediately instead of round-tripping through the queue.
+        A release below may wake a waiter whose follow-up request lands
+        at ``t + 1``; the heap-head check sees it and falls back,
+        preserving FIFO order.  The wake-up path out of a release grants
+        with ``fast=False``."""
         holders = self.holders
         path = worm.path
         acq = worm.acq_times
         h = worm.H
         m = worm.message_length
         events = self.events
+        heap = self._heap
         on_acquire = self._on_acquire
-        remaining = self._remaining
-        horizon = self._horizon
-        arr_next = self._arr_next
-        k0 = worm.ptr
-        if h <= m and on_acquire is None and self._on_release is None:
-            # events left in this worm's life: one per remaining hop
-            # (the current grant rides the event being dispatched) plus
-            # one per drain release of positions 1..h
-            total = 2 * h - k0 - 1
-            # one cycle past the final drain release: the replay
-            # accumulates the clock one add at a time, so a single-add
-            # estimate could round below it -- padding keeps this gate
-            # strictly conservative (a near-miss just takes the stepped
-            # loop, which is exact either way)
-            t_end = t + (h - k0 + m)
-            if (
-                remaining >= total
-                and t_end <= horizon
-                and events.next_time > t_end
-                and arr_next > t_end
-            ):
-                free = True
-                for i in range(k0, h):
-                    if holders[path[i]] is not None:
-                        free = False
-                        break
-                if free:
-                    fifos = self.fifos
-                    for i in range(k0):
-                        if fifos[path[i]]:
-                            free = False
-                            break
-                if free:
-                    self._ballistic(worm, t, k0, total)
-                    return
-        # interference limit: the earliest queued event or arrival.  It
-        # can only move when something is pushed, and pushes can only
-        # come out of a release waking a waiter -- recomputed there.
-        flimit = events.next_time
-        if arr_next < flimit:
-            flimit = arr_next
         while True:
             holders[ch] = worm
             worm.blocked_on = None
@@ -514,105 +289,34 @@ class WormEngine:
             k = worm.ptr
             if on_acquire is not None:
                 on_acquire(worm, k, t)
-                flimit = events.next_time
-                if arr_next < flimit:
-                    flimit = arr_next
-            # early tail release (see _grant)
+            # early tail release: for messages shorter than the path, the
+            # tail leaves position k - M exactly when the header acquires
+            # position k
             pos = k - m
             if pos >= 1:
                 self._release_position(worm, pos, t)
-                flimit = events.next_time
-                if arr_next < flimit:
-                    flimit = arr_next
             if k >= h:
-                self._remaining = remaining
                 self._finish_routing(worm, t)
                 return
             u = t + 1.0
-            if remaining > 0 and u < flimit and u <= horizon:
-                ch = path[k]
-                if holders[ch] is None:
-                    remaining -= 1
-                    events._now = u
-                    t = u
-                    continue
+            if fast and self._remaining > 0 and u <= self._horizon:
+                arrivals = self._arrivals
+                if (
+                    (not heap or heap[0][0] > u)
+                    and (arrivals is None or arrivals.next_time > u)
+                ):
+                    ch = path[k]
+                    if holders[ch] is None:
+                        self._remaining -= 1
+                        events._now = u
+                        t = u
+                        continue
             # fall back to an ordinary scheduled request: this push happens
             # at the same point of the event chronology as the legacy
             # kernel's, so its sequence number ordering is identical
-            self._remaining = remaining
-            rec = (u, events._seq, EV_REQUEST, worm, 0)
+            heappush(heap, (u, events._seq, EV_REQUEST, worm, 0))
             events._seq += 1
-            if u < events._cov:
-                run = events._run
-                if not run or rec > run[-1]:
-                    run.append(rec)
-                else:
-                    insort(run, rec)
-                if u < events.next_time:
-                    events.next_time = u
-            else:
-                events._push_record(rec)
             return
-
-    def _ballistic(self, worm: Worm, t: float, k0: int, total: int) -> None:
-        """Replay ``worm``'s remaining hop/drain chain in one pass.
-
-        Preconditions proven by the caller (:meth:`_grant_fast`): message
-        no shorter than the path (``h <= m``: no early tail releases),
-        no acquire/release hooks, channels ``path[k0:]`` idle, no waiters
-        behind the held rear, and no queued event or arrival at or
-        before the final drain release.  Every clock value is obtained
-        by the same ``+= 1.0`` accumulation the stepped kernel performs,
-        so the recorded acquisition times, the clone-hook timestamps,
-        the completion time and the final value of ``events._now`` are
-        bit-identical to the one-event-at-a-time execution.
-        """
-        holders = self.holders
-        path = worm.path
-        h = worm.H
-        events = self.events
-        worm.blocked_on = None
-        acq = worm.acq_times
-        append = acq.append
-        append(t)
-        for _ in range(h - k0 - 1):
-            t += 1.0
-            append(t)
-        worm.ptr = h
-        worm.done = True
-        # reserve the drain sequence block exactly as _finish_routing
-        # would; the release records themselves never need to exist
-        events._seq += h  # h - first + 1 with first == 1 (h <= m)
-        m = worm.message_length
-        # completion is observed exactly where the stepped kernel fires
-        # it: from the a_H dispatch, clock at a_H, *before* any drain
-        # release hook
-        self.active_worms -= 1
-        if self._on_complete is not None:
-            events._now = t
-            self._on_complete(worm, t + m, False)
-        # drain: positions 1..h release one cycle apart starting at
-        # t + (m + 1 - h); fire any clone absorptions on the way
-        tr = t + (m + 1 - h)
-        clones = worm.clone_positions
-        on_clone = self._on_clone
-        if on_clone is not None and clones:
-            pos = 1
-            while True:
-                if pos in clones:
-                    events._now = tr  # a hook must see the drain clock
-                    on_clone(worm, pos, tr + 1.0)
-                if pos >= h:
-                    break
-                pos += 1
-                tr += 1.0
-        else:
-            for _ in range(h - 1):
-                tr += 1.0
-        for i in range(k0):
-            holders[path[i]] = None
-        events._now = tr
-        self._remaining = self._remaining - total
 
     def _release_position(self, worm: Worm, pos: int, t: float) -> None:
         if pos in worm.clone_positions and self._on_clone is not None:
@@ -640,10 +344,38 @@ class WormEngine:
         first = max(0, h - m) + 1
         seq = events._seq
         events._seq = seq + (h - first + 1)
-        events._push_record((t + (m + first - h), seq, EV_RELEASE, worm, first))
+        heappush(self._heap, (t + (m + first - h), seq, EV_RELEASE, worm, first))
         self.active_worms -= 1
         if self._on_complete is not None:
             self._on_complete(worm, t + m, False)
+
+    def _drain(self, worm: Worm, pos: int, t: float, seq: int) -> None:
+        """Fire the drain release of ``pos`` at ``t`` and fast-chain the
+        remaining one-cycle-apart releases while nothing can interfere;
+        on any possible interference, re-enter the queue with the next
+        reserved sequence number."""
+        events = self.events
+        heap = self._heap
+        h = worm.H
+        while True:
+            self._release_position(worm, pos, t)
+            if pos >= h:
+                return
+            pos += 1
+            seq += 1
+            u = t + 1.0
+            if self._remaining > 0 and u <= self._horizon:
+                arrivals = self._arrivals
+                if (
+                    (not heap or heap[0][0] > u)
+                    and (arrivals is None or arrivals.next_time > u)
+                ):
+                    self._remaining -= 1
+                    events._now = u
+                    t = u
+                    continue
+            heappush(heap, (u, seq, EV_RELEASE, worm, pos))
+            return
 
     # ------------------------------------------------------------------ #
     def _recover(self, cycle: list[Worm], t: float) -> None:
@@ -703,210 +435,35 @@ class WormEngine:
     def disable_native(self, reason: str) -> None:
         """Turn off any compiled fast path for this engine instance.
 
-        No-op for the pure-Python kernels; :class:`CWormEngine`
+        No-op for the pure-Python kernel; :class:`CWormEngine`
         overrides it.  The fault/QoS machinery calls this because the
         native stepper models neither mid-run channel-state mutation
         from EV_CALL callbacks nor non-FIFO arbitration — the run then
         takes the pure-Python oracle path, which stays bit-identical
-        across all three kernels.
+        across both kernels.
         """
-
-
-class HeapWormEngine(WormEngine):
-    """ENGINE_VERSION-2 hot path, verbatim, over :class:`HeapEventQueue`.
-
-    Overrides exactly the methods whose bodies touch the scheduler's
-    internals (the fused loop and the three push sites); the wormhole
-    mechanics -- blocking, releases, deadlock recovery, injection -- are
-    inherited, so a heap/calendar behavioural difference can only come
-    from scheduling order, which is what the differential suite pins.
-    """
-
-    def __init__(
-        self,
-        num_channels: int,
-        events: HeapEventQueue,
-        tracer: Optional[Tracer] = None,
-    ):
-        if not isinstance(events, HeapEventQueue):
-            raise TypeError(
-                "HeapWormEngine schedules through HeapEventQueue; "
-                "pair the calendar EventQueue with WormEngine"
-            )
-        # bypass WormEngine.__init__'s queue-type vetting but reuse its
-        # construction wholesale
-        self.events = events
-        self.tracer = tracer if tracer is not None else NullTracer()
-        self.state = ChannelState(num_channels)
-        self.holders = self.state.holders
-        self.fifos = self.state.fifos
-        self.fifo_heads = self.state.fifo_heads
-        self._fifo_pop = self.state.fifo_pop
-        self.deadlock_recoveries = 0
-        self.active_worms = 0
-        self.fault_drops = 0
-        hooked = None if isinstance(self.tracer, NullTracer) else self.tracer
-        self._on_acquire = getattr(hooked, "on_acquire", None)
-        self._on_release = getattr(hooked, "on_release", None)
-        self._on_clone = getattr(hooked, "on_clone_absorbed", None)
-        self._on_complete = getattr(hooked, "on_complete", None)
-        self._heap = events._heap
-        self._arrivals = None
-        self._arr_next = math.inf
-        self._horizon = -math.inf
-        self._remaining = 0
-        events.bind_engine(self)
-
-    # ------------------------------------------------------------------ #
-    def run_events(
-        self,
-        horizon: float,
-        max_events: int | None = None,
-        arrivals: Optional[ArrivalSource] = None,
-    ) -> int:
-        """The v2 fused loop: heap events and arrivals in timestamp order
-        (heap first on exact ties)."""
-        events = self.events
-        heap = self._heap
-        holders = self.holders
-        limit = _NO_LIMIT if max_events is None else max_events
-        prev_remaining = self._remaining
-        prev_horizon = self._horizon
-        prev_arrivals = self._arrivals
-        self._remaining = limit
-        self._horizon = horizon
-        self._arrivals = arrivals
-        arr_t = arrivals.next_time if arrivals is not None else math.inf
-        try:
-            while self._remaining > 0:
-                if heap and heap[0][0] <= arr_t:
-                    rec = heap[0]
-                    time = rec[0]
-                    if time > horizon:
-                        break
-                    heappop(heap)
-                    events._now = time
-                    self._remaining -= 1
-                    code = rec[2]
-                    if code == EV_REQUEST:
-                        worm = rec[3]
-                        if not worm.done:
-                            ch = worm.path[worm.ptr]
-                            if holders[ch] is None:
-                                self._grant(worm, ch, time, fast=True)
-                            else:
-                                self._block(worm, ch, time)
-                    elif code == EV_RELEASE:
-                        self._drain(rec[3], rec[4], time, rec[1])
-                    elif code == EV_INJECT:
-                        self.inject(rec[3], time)
-                    else:  # EV_CALL
-                        rec[3]()
-                elif arr_t <= horizon:
-                    events._now = arr_t
-                    self._remaining -= 1
-                    arr_t = arrivals.fire(arr_t)
-                else:
-                    break
-            fired = limit - self._remaining
-        finally:
-            self._arrivals = prev_arrivals
-            self._horizon = prev_horizon
-            self._remaining = prev_remaining
-        return fired
-
-    # ------------------------------------------------------------------ #
-    def _grant(self, worm: Worm, ch: int, t: float, fast: bool = False) -> None:
-        holders = self.holders
-        path = worm.path
-        acq = worm.acq_times
-        h = worm.H
-        m = worm.message_length
-        events = self.events
-        heap = self._heap
-        on_acquire = self._on_acquire
-        while True:
-            holders[ch] = worm
-            worm.blocked_on = None
-            acq.append(t)
-            worm.ptr += 1
-            k = worm.ptr
-            if on_acquire is not None:
-                on_acquire(worm, k, t)
-            pos = k - m
-            if pos >= 1:
-                self._release_position(worm, pos, t)
-            if k >= h:
-                self._finish_routing(worm, t)
-                return
-            u = t + 1.0
-            if fast and self._remaining > 0 and u <= self._horizon:
-                arrivals = self._arrivals
-                if (
-                    (not heap or heap[0][0] > u)
-                    and (arrivals is None or arrivals.next_time > u)
-                ):
-                    ch = path[k]
-                    if holders[ch] is None:
-                        self._remaining -= 1
-                        events._now = u
-                        t = u
-                        continue
-            heappush(heap, (u, events._seq, EV_REQUEST, worm, 0))
-            events._seq += 1
-            return
-
-    def _finish_routing(self, worm: Worm, t: float) -> None:
-        worm.done = True
-        events = self.events
-        h, m = worm.H, worm.message_length
-        first = max(0, h - m) + 1
-        seq = events._seq
-        events._seq = seq + (h - first + 1)
-        heappush(self._heap, (t + (m + first - h), seq, EV_RELEASE, worm, first))
-        self.active_worms -= 1
-        if self._on_complete is not None:
-            self._on_complete(worm, t + m, False)
-
-    def _drain(self, worm: Worm, pos: int, t: float, seq: int) -> None:
-        events = self.events
-        heap = self._heap
-        h = worm.H
-        while True:
-            self._release_position(worm, pos, t)
-            if pos >= h:
-                return
-            pos += 1
-            seq += 1
-            u = t + 1.0
-            if self._remaining > 0 and u <= self._horizon:
-                arrivals = self._arrivals
-                if (
-                    (not heap or heap[0][0] > u)
-                    and (arrivals is None or arrivals.next_time > u)
-                ):
-                    self._remaining -= 1
-                    events._now = u
-                    t = u
-                    continue
-            heappush(heap, (u, seq, EV_RELEASE, worm, pos))
-            return
 
 
 class CWormEngine(WormEngine):
     """:class:`WormEngine` with the compiled dispatch fast path.
 
     When the optional :mod:`repro.sim._cstep` extension is built and the
-    run is one the native loop models -- the stock calendar
-    :class:`EventQueue`, no per-hop acquire/release hooks -- the fused
-    dispatch loop and the injection grant/fast-forward/ballistic path
-    execute in C *over the very same Python objects* (worms, the
-    calendar's segment/ring/overflow, the flat
-    :class:`~repro.sim.state.ChannelState` lists).  Everything else --
-    and anything the native loop declines mid-run, such as overflow
-    timestamps -- takes the inherited pure-Python path, which is the
-    behavioural oracle: results are bit-identical by construction and
-    enforced by the golden-seed and three-way differential suites.
+    run is one the native loop models -- the stock :class:`EventQueue`,
+    no per-hop acquire/release hooks -- the fused dispatch loop and the
+    injection grant/fast-forward path execute in C *over the very same
+    Python objects* (worms, the queue's heap list, the flat
+    :class:`~repro.sim.state.ChannelState` lists).  The C grant path
+    also completes an isolated worm *ballistically*: when per-hop
+    observation is off, the message is no shorter than its path, every
+    channel ahead is idle, nobody waits behind the held rear and nothing
+    is queued or arriving before the worm's final drain release, the
+    whole remaining hop/drain chain is replayed in one pass with the
+    same clock accumulation, sequence reservation, hook calls and event
+    budget as the stepped loop.  Everything else -- and anything the
+    native loop declines mid-run, such as timestamps at or past 2^52 --
+    takes the inherited pure-Python path, which is the behavioural
+    oracle: results are bit-identical by construction and enforced by
+    the golden-seed and c/python differential suites.
 
     Because both sides share one store of truth, a *bounce* -- the C
     loop returning control mid-run -- needs zero state synchronisation:
@@ -928,11 +485,6 @@ class CWormEngine(WormEngine):
             reason = cext.unavailable_reason() or "extension unavailable"
         elif type(events) is not EventQueue:
             reason = f"unsupported queue class {type(events).__name__}"
-        elif events._span > 64:
-            reason = (
-                f"calendar span {events._span} exceeds the 64-bit "
-                "occupancy word"
-            )
         elif self._on_acquire is not None or self._on_release is not None:
             reason = "per-hop acquire/release hooks attached"
         self.c_inactive_reason = reason
@@ -998,8 +550,7 @@ def c_kernel_status() -> tuple[bool, Optional[str]]:
     return cext.available(), cext.unavailable_reason()
 
 
-KERNELS["calendar"] = (EventQueue, WormEngine)
-KERNELS["heap"] = (HeapEventQueue, HeapWormEngine)
+KERNELS["python"] = (EventQueue, WormEngine)
 if cext.available():
     # registered only when the extension imported *and* configured
     # itself against the live class layouts: "c" is never a lie

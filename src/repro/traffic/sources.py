@@ -44,9 +44,8 @@ assumptions on purpose:
 Determinism contract: every source draws all of its randomness from the
 run's single seeded generator in merge order (see
 :class:`repro.sim.arrivals.MergedArrivalStream`), so a fixed seed gives
-one fixed arrival realisation on every kernel -- including ``kernel="c"``,
-which calls back into the Python-side stream exactly as PR 6 left it --
-and on every executor.
+one fixed arrival realisation on both kernels -- ``kernel="c"`` calls
+back into the Python-side stream per arrival -- and on every executor.
 """
 
 from __future__ import annotations

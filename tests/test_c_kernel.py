@@ -1,20 +1,21 @@
 """C/Python kernel boundary tests.
 
 The compiled dispatch fast path (:mod:`repro.sim._cstep`) is an
-*accelerator*, never an authority: the pure-Python kernels define the
+*accelerator*, never an authority: the pure-Python kernel defines the
 behaviour and every number the C loop produces must be bitwise identical
-to theirs.  This suite attacks the boundary from every side:
+to the Python kernel's.  This suite attacks the boundary from every side:
 
-* full-simulation differentials -- the calendar/heap A/B scenarios plus
-  randomized fuzz over topologies, loads and seeds, with the C kernel as
-  a third column;
+* full-simulation differentials -- the A/B scenarios plus randomized
+  fuzz over topologies, loads and seeds, C against Python;
+* ballistic completion, which only the C kernel performs: hook order
+  and whole runs where it triggers must match the stepped Python loop;
 * the golden-seed fingerprints re-asserted with ``kernel="c"`` forced;
 * the fallback story -- construction-time declines (per-hop hooks,
   foreign queue classes, unbuilt extension) and mid-run bounces
   (hooks attached between windows, timestamps beyond the 2^52 horizon)
   must silently hand the run to Python and still match it bitwise;
-* the ``"auto"`` policy regression: it must never name ``"c"`` when the
-  extension is not built;
+* the kernel registry: ``"auto"`` is ``"c"`` exactly when the extension
+  is built, and retired kernel names are refused;
 * the opt-in vectorized arrival mode's statistical contract, and proof
   that the default arrival path is bitwise untouched.
 
@@ -37,15 +38,16 @@ from repro.sim import (
     VectorizedPoissonArrivalStream,
     cext,
     make_arrival_stream,
-    resolve_auto_kernel,
 )
-from repro.sim.engine import EventQueue, HeapEventQueue
+from repro.sim.engine import EV_INJECT, EventQueue
+from repro.sim.reference import ScriptedWorm
+from repro.sim.scripted import run_scripted
 from repro.sim.worm import Worm, WormClass
 from repro.sim.wormengine import CWormEngine, WormEngine, c_kernel_status
 from repro.topology import MeshTopology, QuarcTopology
 from repro.workloads import random_multicast_sets
 
-from test_calendar_queue import AB_SCENARIOS, _eq_fp, _fingerprint
+from kernel_scenarios import AB_SCENARIOS, cfg, eq_fp, fingerprint, quarc
 
 requires_c = pytest.mark.skipif(
     not cext.available(),
@@ -58,7 +60,7 @@ def _run(topo, routing, spec, config, kernel):
 
 
 # --------------------------------------------------------------------- #
-# three-way differentials: c vs calendar vs heap
+# differentials: c vs python
 
 
 @requires_c
@@ -68,16 +70,16 @@ def test_ab_scenarios_c_bitwise(name):
     topo, routing = build()
     spec = make_spec(routing)
     c_res = _run(topo, routing, spec, config, "c")
-    cal_res = _run(topo, routing, spec, config, "calendar")
+    py_res = _run(topo, routing, spec, config, "python")
     assert c_res.kernel == "c"
-    assert _eq_fp(_fingerprint(c_res), _fingerprint(cal_res)), name
+    assert eq_fp(fingerprint(c_res), fingerprint(py_res)), name
 
 
 @pytest.mark.parametrize("trial", range(8))
 def test_randomized_differential_fuzz(trial):
     """Random (topology, load, seed) triples through every registered
-    kernel; all fingerprints must agree bitwise.  Runs with two kernels
-    on a build without the extension, three with it."""
+    kernel, plus a second Python run on a fresh simulator (no state may
+    leak between instances); all fingerprints must agree bitwise."""
     rnd = random.Random(0xC0FFEE + trial)
     mesh = rnd.random() < 0.5
     if mesh:
@@ -109,12 +111,12 @@ def test_randomized_differential_fuzz(trial):
         max_cycles=100_000.0,
     )
     fps = {
-        kernel: _fingerprint(_run(topo, routing, spec, config, kernel))
+        kernel: fingerprint(_run(topo, routing, spec, config, kernel))
         for kernel in sorted(KERNELS)
     }
-    reference = fps.pop("heap")
+    reference = fingerprint(_run(topo, routing, spec, config, "python"))
     for kernel, fp in fps.items():
-        assert _eq_fp(fp, reference), (trial, kernel)
+        assert eq_fp(fp, reference), (trial, kernel)
 
 
 @requires_c
@@ -139,6 +141,65 @@ def test_golden_fingerprints_hold_on_c_kernel(name):
     assert result.completed_messages == want["completed"]
     assert result.deadlock_recoveries == want["recoveries"]
     assert result.saturated == want["saturated"]
+
+
+# --------------------------------------------------------------------- #
+# ballistic completion: the widened fast-forward window must not change
+# a single float even where it demonstrably triggers
+
+
+class _OrderTracer:
+    """Records hook order, arguments and the engine clock at each call.
+
+    Defines exactly the hook subset that keeps ballistic completion
+    enabled (no per-hop acquire/release observation), so a hook-order or
+    hook-clock divergence between the replay and the stepped kernel
+    cannot hide behind an order-insensitive consumer."""
+
+    def __init__(self, events):
+        self.events = events
+        self.calls = []
+
+    def on_clone_absorbed(self, worm, position, t):
+        self.calls.append(("clone", worm.uid, position, t, self.events.now))
+
+    def on_complete(self, worm, t_done, recovered):
+        self.calls.append(("complete", worm.uid, t_done, recovered, self.events.now))
+
+
+def _hook_trace(kernel):
+    queue_cls, engine_cls = KERNELS[kernel]
+    events = queue_cls()
+    tracer = _OrderTracer(events)
+    engine_cls(8, events, tracer)
+    worm = Worm(7, WormClass.MULTICAST, 0, 0.0, (0, 1, 2, 3, 4), 16,
+                clone_positions=(2, 4))
+    events.push(1.0, EV_INJECT, worm)
+    events.run_until(1e6)
+    return tracer.calls
+
+
+@requires_c
+def test_ballistic_hook_order_matches_stepped_kernel():
+    """An isolated multicast worm takes the ballistic replay on the C
+    kernel; its clone/complete hook sequence -- order, args and the
+    engine clock visible at each call -- must equal the stepped Python
+    kernel's exactly."""
+    assert _hook_trace("c") == _hook_trace("python")
+
+
+@requires_c
+def test_ballistic_triggering_run_matches_python_kernel():
+    """An isolated-arrival workload (tiny load, big gaps) triggers the
+    whole-worm ballistic replay for most messages; the run must still be
+    bit-identical to the stepped Python kernel."""
+    topo, routing = quarc(16)
+    spec = TrafficSpec(0.0004, 0.0, 32)
+    config = cfg(seed=41, target_unicast_samples=150, max_cycles=2_000_000.0)
+    py_res = _run(topo, routing, spec, config, "python")
+    c_res = _run(topo, routing, spec, config, "c")
+    assert eq_fp(fingerprint(c_res), fingerprint(py_res))
+    assert c_res.unicast.count >= 150
 
 
 # --------------------------------------------------------------------- #
@@ -218,10 +279,13 @@ def test_construction_time_declines():
     hooked = CWormEngine(4, EventQueue(), _HookTracer())
     assert not hooked._c_ok
     assert "hook" in hooked.c_inactive_reason
-    with pytest.raises(TypeError):
-        # the registry pairs CWormEngine with the calendar EventQueue;
-        # handing it the heap queue fails fast like WormEngine does
-        CWormEngine(4, HeapEventQueue())
+
+    class _OwnQueue(EventQueue):
+        __slots__ = ()
+
+    foreign = CWormEngine(4, _OwnQueue())
+    assert not foreign._c_ok
+    assert "_OwnQueue" in foreign.c_inactive_reason
 
 
 @requires_c
@@ -281,69 +345,42 @@ def test_uncoercible_horizon_falls_back():
 
 
 # --------------------------------------------------------------------- #
-# the "auto" policy
+# the kernel registry and the "auto" policy
 
 
 def test_auto_never_selects_c_when_unbuilt(monkeypatch):
     """Regression: with no compiled extension registered, "auto" must
-    resolve to a pure-Python kernel for every size and observed depth."""
+    resolve to the pure-Python kernel at every network size."""
     monkeypatch.delitem(KERNELS, "c", raising=False)
-    for nodes in (8, 16, 511, 512, 4096):
-        for depth in (None, 0, 1, 255, 256, 100_000):
-            kernel = resolve_auto_kernel(nodes, depth)
-            assert kernel in ("heap", "calendar"), (nodes, depth)
-            assert kernel in KERNELS
+    for n in (8, 16, 64):
+        topo = QuarcTopology(n)
+        assert NocSimulator(topo, QuarcRouting(topo)).kernel == "python"
 
 
-def test_auto_depth_heuristic_overrides_node_prior(monkeypatch):
-    monkeypatch.delitem(KERNELS, "c", raising=False)
-    # node prior without observation
-    assert resolve_auto_kernel(16) == "heap"
-    assert resolve_auto_kernel(512) == "calendar"
-    # observation wins over the prior in both directions
-    assert resolve_auto_kernel(16, observed_depth=10_000) == "calendar"
-    assert resolve_auto_kernel(4096, observed_depth=3) == "heap"
-
-
-def test_auto_resolves_per_run_from_observed_depth(monkeypatch):
-    """A kernel="auto" simulator re-resolves on repeat runs using the
-    previous run's peak pending depth; explicit kernels never move."""
-    monkeypatch.delitem(KERNELS, "c", raising=False)
+def test_auto_resolves_to_c_iff_built():
+    built = cext.available()
+    assert set(KERNELS) == ({"python", "c"} if built else {"python"})
     topo = QuarcTopology(16)
     routing = QuarcRouting(topo)
-    sim = NocSimulator(topo, routing)  # auto
-    assert sim.kernel_policy == "auto" and sim.kernel == "heap"
-    spec = TrafficSpec(0.004, 0.0, 32)
-    config = SimConfig(seed=11, warmup_cycles=500.0,
-                       target_unicast_samples=100,
-                       target_multicast_samples=0, max_cycles=50_000.0)
-    first = sim.run(spec, config)
-    assert first.kernel == "heap"
-    assert first.peak_pending > 0
-    assert sim._observed_depth == first.peak_pending
-    # force a "deep" observation: the next auto run must pick calendar,
-    # and produce the same numbers (the kernels are bit-identical)
-    sim._observed_depth = 10_000
-    second = sim.run(spec, config)
-    assert second.kernel == "calendar"
-    assert _eq_fp(_fingerprint(first), _fingerprint(second))
-    pinned = NocSimulator(topo, routing, kernel="heap")
-    pinned._observed_depth = 10_000
-    assert pinned.run(spec, config).kernel == "heap"
-
-
-@requires_c
-def test_auto_prefers_c_when_built():
-    topo = QuarcTopology(16)
-    routing = QuarcRouting(topo)
-    assert resolve_auto_kernel(16) == "c"
-    assert resolve_auto_kernel(4096, observed_depth=5) == "c"
     result = NocSimulator(topo, routing).run(
         TrafficSpec(0.004, 0.0, 32),
         SimConfig(seed=11, warmup_cycles=500.0, target_unicast_samples=50,
                   target_multicast_samples=0, max_cycles=50_000.0),
     )
-    assert result.kernel == "c"
+    assert result.kernel == ("c" if built else "python")
+
+
+@pytest.mark.parametrize("name", ["heap", "calendar"])
+def test_retired_kernel_names_are_refused(name):
+    """The kernels removed in engine v5 are not silent aliases: both
+    entry points refuse them, listing the known kernels."""
+    topo = QuarcTopology(16)
+    with pytest.raises(ValueError, match=r"unknown kernel .*'python'.*'auto'"):
+        NocSimulator(topo, QuarcRouting(topo), kernel=name)
+    worms = [ScriptedWorm(1, 0, (0, 1, 2), 8)]
+    with pytest.raises(ValueError, match=r"unknown kernel .*'python'"):
+        run_scripted(4, worms, kernel=name)
+    assert run_scripted(4, worms)[1].completion_time is not None
 
 
 def test_c_kernel_status_reports_build():
@@ -474,34 +511,13 @@ def _traffic_source_specs():
     }
 
 
-@pytest.mark.parametrize("name", sorted(_traffic_source_specs()))
-def test_non_poisson_sources_bitwise_across_python_kernels(name):
-    """Arrival generation lives outside the kernels: any Python-side
-    traffic source must produce bit-identical runs on heap and calendar."""
-    source = _traffic_source_specs()[name]
-    topo = QuarcTopology(16)
-    routing = QuarcRouting(topo)
-    spec = TrafficSpec(0.004, 0.1, 32, random_multicast_sets(routing, 4, seed=3))
-    config = SimConfig(seed=7, warmup_cycles=1_000.0,
-                       target_unicast_samples=400,
-                       target_multicast_samples=80, max_cycles=400_000.0)
-    heap = NocSimulator(topo, routing, kernel="heap").run(
-        spec, config, source=source
-    )
-    cal = NocSimulator(topo, routing, kernel="calendar").run(
-        spec, config, source=source
-    )
-    assert _eq_fp(_fingerprint(cal), _fingerprint(heap)), name
-    assert heap.source == cal.source == source.label
-
-
 @requires_c
 @pytest.mark.parametrize("name", sorted(_traffic_source_specs()))
 def test_non_poisson_sources_bitwise_on_c_kernel(name):
     """The explicit interop contract of the traffic subsystem: the C
     fast path calls ``arrivals.fire`` back into Python per arrival, so
     CBR/ON-OFF/hotspot streams run under ``kernel="c"`` and match the
-    pure-Python kernels bit for bit."""
+    pure-Python kernel bit for bit."""
     source = _traffic_source_specs()[name]
     topo = QuarcTopology(16)
     routing = QuarcRouting(topo)
@@ -509,11 +525,12 @@ def test_non_poisson_sources_bitwise_on_c_kernel(name):
     config = SimConfig(seed=7, warmup_cycles=1_000.0,
                        target_unicast_samples=400,
                        target_multicast_samples=80, max_cycles=400_000.0)
-    heap = NocSimulator(topo, routing, kernel="heap").run(
+    py = NocSimulator(topo, routing, kernel="python").run(
         spec, config, source=source
     )
     c = NocSimulator(topo, routing, kernel="c").run(spec, config, source=source)
-    assert _eq_fp(_fingerprint(c), _fingerprint(heap)), name
+    assert eq_fp(fingerprint(c), fingerprint(py)), name
+    assert c.source == py.source == source.label
 
 
 @requires_c
@@ -534,8 +551,8 @@ def test_trace_replay_bitwise_on_c_kernel(tmp_path):
     config = SimConfig(seed=7, warmup_cycles=500.0,
                        target_unicast_samples=300,
                        target_multicast_samples=0, max_cycles=400_000.0)
-    heap = NocSimulator(topo, routing, kernel="heap").run(
+    py = NocSimulator(topo, routing, kernel="python").run(
         spec, config, source=source
     )
     c = NocSimulator(topo, routing, kernel="c").run(spec, config, source=source)
-    assert _eq_fp(_fingerprint(c), _fingerprint(heap))
+    assert eq_fp(fingerprint(c), fingerprint(py))

@@ -409,7 +409,7 @@ class TestCrossKernelBitwise:
         same bits."""
         topo, routing = quarc16
         spec = _spec(routing)
-        ref = NocSimulator(topo, routing, kernel="calendar").run(
+        ref = NocSimulator(topo, routing, kernel="python").run(
             spec, _cfg(), faults=KILL_01, qos=QOS_2, monitors=ALL_MONITORS
         )
         got = NocSimulator(topo, routing, kernel=kernel).run(
@@ -431,7 +431,7 @@ class TestCrossKernelBitwise:
             seed=3, warmup_cycles=2_000, target_unicast_samples=4_000,
             target_multicast_samples=400,
         )
-        ref = NocSimulator(topo, routing, kernel="calendar").run(
+        ref = NocSimulator(topo, routing, kernel="python").run(
             spec, cfg, monitors=("deadlock",)
         )
         got = NocSimulator(topo, routing, kernel=kernel).run(

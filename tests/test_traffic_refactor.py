@@ -14,8 +14,8 @@ float different.  This file pins that three ways:
   sequence, in both arrival modes;
 * **sim differential** -- a run with the implicit default source and a
   run with an explicit ``SourceSpec()`` must fingerprint identically on
-  every registered kernel, across the calendar-queue A/B scenario
-  suite (the golden-seed suite separately pins those same runs to the
+  every registered kernel, across the kernel A/B scenario suite
+  (the golden-seed suite separately pins those same runs to the
   frozen pre-refactor numbers);
 * **key stability** -- a source-less ``SimTask`` hashes to the exact
   pre-subsystem key (frozen literal), so every existing cache entry and
@@ -26,21 +26,14 @@ import numpy as np
 import pytest
 
 from repro.orchestration import SimTask
-from repro.sim import KERNELS, NocSimulator, SimConfig, cext, make_arrival_stream
+from repro.sim import KERNELS, NocSimulator, SimConfig, make_arrival_stream
 from repro.traffic.sources import DEFAULT_SOURCE, SourceSpec
 
-from test_calendar_queue import AB_SCENARIOS, _eq_fp, _fingerprint
+from kernel_scenarios import AB_SCENARIOS, eq_fp, fingerprint
 
 #: captured from the pre-refactor code (PR 7 HEAD) for this exact task;
 #: if this ever changes, every cached result on disk silently strands
 FROZEN_LEGACY_KEY = "4a514e29f4e4bc43f99ca70c1be2db8f"
-
-
-def _kernels():
-    names = [k for k in sorted(KERNELS) if k != "c"]
-    if cext.available():
-        names.append("c")
-    return names
 
 
 # --------------------------------------------------------------------- #
@@ -108,12 +101,12 @@ def test_default_source_explicit_source_bitwise(name):
     build, make_spec, config = AB_SCENARIOS[name]
     topo, routing = build()
     spec = make_spec(routing)
-    for kernel in _kernels():
+    for kernel in sorted(KERNELS):
         implicit = NocSimulator(topo, routing, kernel=kernel).run(spec, config)
         explicit = NocSimulator(topo, routing, kernel=kernel).run(
             spec, config, source=SourceSpec()
         )
-        assert _eq_fp(_fingerprint(explicit), _fingerprint(implicit)), (
+        assert eq_fp(fingerprint(explicit), fingerprint(implicit)), (
             name, kernel,
         )
         assert implicit.source == explicit.source == "poisson"
@@ -131,7 +124,7 @@ def test_vectorized_mode_still_flows_through_the_layer():
     )
     implicit = NocSimulator(topo, routing).run(spec, config)
     explicit = NocSimulator(topo, routing).run(spec, config, source=SourceSpec())
-    assert _eq_fp(_fingerprint(explicit), _fingerprint(implicit))
+    assert eq_fp(fingerprint(explicit), fingerprint(implicit))
 
 
 # --------------------------------------------------------------------- #
