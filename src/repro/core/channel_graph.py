@@ -80,16 +80,20 @@ class ChannelGraph:
         self.routing = routing
         self.one_port = one_port
         self._channels: list[Channel] = []
-        self._index: dict[Channel, int] = {}
+        # index lookups per kind, keyed by plain tuples: route translation
+        # runs once per hop of every walked route and must not build and
+        # hash a Channel per lookup
+        self._by_kind: dict[ChannelKind, dict[tuple, int]] = {k: {} for k in ChannelKind}
         self._build()
 
     # ------------------------------------------------------------------ #
     def _add(self, channel: Channel) -> int:
-        if channel in self._index:
+        index = self._by_kind[channel.kind]
+        if channel.key in index:
             raise ValueError(f"duplicate channel {channel}")
         idx = len(self._channels)
         self._channels.append(channel)
-        self._index[channel] = idx
+        index[channel.key] = idx
         return idx
 
     def _build(self) -> None:
@@ -113,10 +117,7 @@ class ChannelGraph:
         return list(self._channels)
 
     def index_of(self, channel: Channel) -> int:
-        try:
-            return self._index[channel]
-        except KeyError:
-            raise KeyError(f"unknown channel {channel}") from None
+        return self._lookup(channel.kind, channel.key)
 
     def channel_at(self, idx: int) -> Channel:
         return self._channels[idx]
@@ -125,35 +126,44 @@ class ChannelGraph:
         return self._channels[idx].kind
 
     # -- lookups ---------------------------------------------------------
+    def _lookup(self, kind: ChannelKind, key: tuple) -> int:
+        try:
+            return self._by_kind[kind][key]
+        except KeyError:
+            raise KeyError(f"unknown channel {Channel(kind, key)}") from None
+
     def injection(self, node: int, port: str) -> int:
         if self.one_port:
             port = ONE_PORT_NAME
-        return self.index_of(Channel(ChannelKind.INJECTION, (node, port)))
+        return self._lookup(ChannelKind.INJECTION, (node, port))
 
     def network(self, link: Link) -> int:
-        return self.index_of(
-            Channel(ChannelKind.NETWORK, (link.src, link.dst, link.tag))
-        )
+        return self._lookup(ChannelKind.NETWORK, (link.src, link.dst, link.tag))
 
     def ejection(self, node: int, input_tag: str) -> int:
-        return self.index_of(Channel(ChannelKind.EJECTION, (node, input_tag)))
+        return self._lookup(ChannelKind.EJECTION, (node, input_tag))
 
     # -- route translation -------------------------------------------------
+    def _worm_channels(
+        self, source: int, port: str, links: Sequence[Link], last: int
+    ) -> list[int]:
+        """``[injection, network..., ejection at last]`` of one worm."""
+        net = self._by_kind[ChannelKind.NETWORK]
+        try:
+            seq = [net[(link.src, link.dst, link.tag)] for link in links]
+        except KeyError as exc:
+            raise KeyError(f"unknown network channel {exc.args[0]}") from None
+        return [self.injection(source, port), *seq, self.ejection(last, links[-1].tag)]
+
     def route_channels(self, route: Route) -> list[int]:
         """Channel index sequence of a unicast worm:
         ``[injection, network..., ejection-at-destination]``."""
-        seq = [self.injection(route.source, route.port)]
-        seq.extend(self.network(link) for link in route.links)
-        seq.append(self.ejection(route.dest, route.links[-1].tag))
-        return seq
+        return self._worm_channels(route.source, route.port, route.links, route.dest)
 
     def multicast_worm_channels(self, route: MulticastRoute) -> list[int]:
         """Channels *held* by a multicast worm: injection + network links +
         the terminal ejection (at the last node, which is always a target)."""
-        seq = [self.injection(route.source, route.port)]
-        seq.extend(self.network(link) for link in route.links)
-        seq.append(self.ejection(route.last_node, route.links[-1].tag))
-        return seq
+        return self._worm_channels(route.source, route.port, route.links, route.last_node)
 
     def multicast_clone_ejections(self, route: MulticastRoute) -> list[tuple[int, int]]:
         """``(network_channel, ejection_channel)`` pairs for every

@@ -12,6 +12,8 @@ The paper derives this with the memoryless property (Eq. 10-12); we provide
 * :func:`expected_max_recursive` -- the paper's recursion, memoised over
   subsets (exact, exponential in ``m``; ``m <= ~20`` is practical and the
   paper's routers have ``m = 4``),
+* :func:`expected_max_rows` -- the same recursion for many independent
+  rate vectors at once (one numpy pass per subset),
 * :func:`expected_max_inclusion_exclusion` -- the closed form
   ``sum_{S != {}} (-1)^{|S|+1} / sum_{i in S} mu_i`` (used as a cross-check
   and for larger ``m``),
@@ -33,9 +35,12 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "expected_min_exponentials",
     "expected_max_recursive",
+    "expected_max_rows",
     "expected_max_inclusion_exclusion",
     "expected_max_iid",
     "expected_max_exponentials",
@@ -113,6 +118,22 @@ def expected_max_recursive(rates: Sequence[float]) -> float:
         return emax(tuple(sorted(rs)))
     finally:
         emax.cache_clear()
+
+
+def expected_max_rows(rates: np.ndarray) -> np.ndarray:
+    """:func:`expected_max_recursive` for every row of a ``(rows, m)``
+    array at once, over all ``2^m`` subsets.  A rate of 0 here marks an
+    absent variable (or one that is almost surely 0), which drops out of
+    the maximum; a row with no positive rate has ``E[max] = 0``."""
+    rows, m = rates.shape
+    emax = np.zeros((1 << m, rows))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for mask in range(1, 1 << m):
+            members = [k for k in range(m) if mask >> k & 1]
+            total = rates[:, members].sum(axis=1)
+            acc = 1.0 + sum(rates[:, k] * emax[mask ^ (1 << k)] for k in members)
+            emax[mask] = np.where(total > 0.0, acc / total, 0.0)
+    return emax[-1]
 
 
 def expected_max_inclusion_exclusion(rates: Sequence[float]) -> float:

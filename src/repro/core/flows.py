@@ -25,14 +25,17 @@ unicast destinations, all messages the same length, deterministic routing.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from repro.core.channel_graph import ChannelGraph
 
 __all__ = ["TrafficSpec", "FlowAccumulator", "build_flows"]
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -123,15 +126,88 @@ class TrafficSpec:
 
 
 class FlowAccumulator:
-    """Accumulated per-channel rates and transitions for one spec."""
+    """Accumulated per-channel rates and transitions for one spec, plus
+    the channel sequences :func:`build_flows` walked to get them.
+
+    Flows are linear in the offered rate, so :meth:`scaled` re-uses one
+    accumulator at any load: the walked paths and everything compiled
+    from them (:meth:`compiled`) are shared, not rebuilt.
+    """
 
     def __init__(self, graph: ChannelGraph):
         self.graph = graph
         n = graph.num_channels
         self.arrival_rate = np.zeros(n, dtype=float)
-        # sparse transition maps: index -> {next_index: rate}
-        self.forward: list[dict[int, float]] = [dict() for _ in range(n)]
-        self.feed: list[dict[int, float]] = [dict() for _ in range(n)]
+        # sparse transition maps: index -> {next_index: rate}; a scaled
+        # view builds its own from its base's on first access
+        self._maps: tuple[list[dict[int, float]], list[dict[int, float]]] | None = (
+            [dict() for _ in range(n)],
+            [dict() for _ in range(n)],
+        )
+        # the accumulator a scaled view scales; None when this one owns its
+        # maps (not itself: a self reference would leave every accumulator
+        # to the cycle collector)
+        self._base: FlowAccumulator | None = None
+        self._factor = 1.0
+        self._compiled: dict[str, object] = {}
+        #: every unicast worm path, in (source, dest) order, and its
+        #: destination probability (0 for a pair that carries no flow)
+        self.unicast_paths: list[list[int]] = []
+        self.unicast_probabilities: list[float] = []
+        #: multicasting source (ascending) -> its worms' channel paths, in
+        #: the routing's port order
+        self.multicast_paths: dict[int, list[list[int]]] = {}
+
+    # ------------------------------------------------------------------ #
+    @property
+    def forward(self) -> list[dict[int, float]]:
+        """Worm-progression rates ``i -> j``."""
+        return self._transition_maps()[0]
+
+    @property
+    def feed(self) -> list[dict[int, float]]:
+        """All rates entering ``j`` through ``i`` (forward plus clones)."""
+        return self._transition_maps()[1]
+
+    def _transition_maps(self) -> tuple[list[dict[int, float]], list[dict[int, float]]]:
+        if self._maps is None:
+            f = self._factor
+            forward, feed = self._root()._transition_maps()
+            self._maps = (
+                [{j: f * r for j, r in row.items()} for row in forward],
+                [{j: f * r for j, r in row.items()} for row in feed],
+            )
+        return self._maps
+
+    def scaled(self, factor: float) -> "FlowAccumulator":
+        """These flows at ``factor`` times every rate (a model builds one
+        unit-rate accumulator per traffic pattern and scales it per load).
+        """
+        if factor < 0.0:
+            raise ValueError(f"factor must be >= 0, got {factor}")
+        out = copy.copy(self)
+        out.arrival_rate = factor * self.arrival_rate
+        out._maps = None
+        out._base = self._root()
+        out._factor = self._factor * factor
+        return out
+
+    def compiled(self, name: str, build: Callable[["FlowAccumulator"], T]) -> T:
+        """``build(flows)`` memoised per accumulator and shared with its
+        scaled views.  ``build`` sees the unscaled accumulator, so it may
+        only compile what does not depend on the offered rate."""
+        if name not in self._compiled:
+            self._compiled[name] = build(self._root())
+        return self._compiled[name]  # type: ignore[return-value]
+
+    def _own(self) -> None:
+        """Prepare for a mutation: a scaled view takes its own transition
+        maps, and plans compiled from the old flows are dropped."""
+        self._maps = self._transition_maps()
+        self._base, self._factor, self._compiled = None, 1.0, {}
+
+    def _root(self) -> "FlowAccumulator":
+        return self if self._base is None else self._base
 
     # ------------------------------------------------------------------ #
     def add_worm(self, channel_seq: Sequence[int], rate: float) -> None:
@@ -140,11 +216,13 @@ class FlowAccumulator:
             raise ValueError(f"rate must be >= 0, got {rate}")
         if rate == 0.0:
             return
+        self._own()
+        forward, feed = self._transition_maps()
         for idx in channel_seq:
             self.arrival_rate[idx] += rate
         for a, b in zip(channel_seq, channel_seq[1:]):
-            self.forward[a][b] = self.forward[a].get(b, 0.0) + rate
-            self.feed[a][b] = self.feed[a].get(b, 0.0) + rate
+            forward[a][b] = forward[a].get(b, 0.0) + rate
+            feed[a][b] = feed[a].get(b, 0.0) + rate
 
     def add_clone(self, network_channel: int, ejection_channel: int, rate: float) -> None:
         """Account an absorb-and-forward clone: the ejection channel sees an
@@ -154,10 +232,10 @@ class FlowAccumulator:
             raise ValueError(f"rate must be >= 0, got {rate}")
         if rate == 0.0:
             return
+        self._own()
+        feed = self.feed[network_channel]
         self.arrival_rate[ejection_channel] += rate
-        self.feed[network_channel][ejection_channel] = (
-            self.feed[network_channel].get(ejection_channel, 0.0) + rate
-        )
+        feed[ejection_channel] = feed.get(ejection_channel, 0.0) + rate
 
     # ------------------------------------------------------------------ #
     def forward_probabilities(self, idx: int) -> dict[int, float]:
@@ -189,33 +267,42 @@ class FlowAccumulator:
 def build_flows(graph: ChannelGraph, spec: TrafficSpec) -> FlowAccumulator:
     """Accumulate all unicast and multicast flows of ``spec`` over ``graph``.
 
-    Unicast: every ordered pair ``(s, t)`` carries ``lambda_u / (N - 1)``.
+    Unicast: every ordered pair ``(s, t)`` carries ``lambda_u * p_s(t)``
+    (``p_s(t) = 1 / (N - 1)`` for uniform destinations).
     Multicast: every source with a non-empty destination set emits one worm
     per used port at rate ``lambda_m`` (paper: a multicast is *replicated*
     on each port whose quadrant contains targets, so each worm has the full
     multicast generation rate).
+
+    Every route is walked once, whatever its rate, and its channel path is
+    kept on the accumulator for latency assembly.
     """
     topo = graph.topology
     routing = graph.routing
     n = topo.num_nodes
     acc = FlowAccumulator(graph)
 
-    if spec.unicast_rate > 0.0:
-        for s in topo.nodes():
-            probs = spec.destination_probabilities(s, n)
-            for t in topo.nodes():
-                if s == t or probs[t] == 0.0:
-                    continue
-                route = routing.unicast_route(s, t)
-                acc.add_worm(graph.route_channels(route), spec.unicast_rate * probs[t])
+    lam_u = spec.unicast_rate
+    for s in topo.nodes():
+        probs = spec.destination_probabilities(s, n)
+        for t in topo.nodes():
+            if s == t:
+                continue
+            seq = graph.route_channels(routing.unicast_route(s, t))
+            acc.unicast_paths.append(seq)
+            acc.unicast_probabilities.append(float(probs[t]))
+            acc.add_worm(seq, lam_u * probs[t])
 
     lam_m = spec.multicast_rate
-    if lam_m > 0.0:
-        for s, dests in sorted(spec.multicast_sets.items()):
-            if not dests:
-                continue
-            for worm in routing.multicast_routes(s, sorted(dests)):
-                acc.add_worm(graph.multicast_worm_channels(worm), lam_m)
-                for net_ch, ej_ch in graph.multicast_clone_ejections(worm):
-                    acc.add_clone(net_ch, ej_ch, lam_m)
+    for s, dests in sorted(spec.multicast_sets.items()):
+        if not dests:
+            continue
+        worms = []
+        for worm in routing.multicast_routes(s, sorted(dests)):
+            seq = graph.multicast_worm_channels(worm)
+            worms.append(seq)
+            acc.add_worm(seq, lam_m)
+            for net_ch, ej_ch in graph.multicast_clone_ejections(worm):
+                acc.add_clone(net_ch, ej_ch, lam_m)
+        acc.multicast_paths[s] = worms
     return acc

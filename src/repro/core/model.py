@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.channel_graph import ChannelGraph
-from repro.core.flows import TrafficSpec, build_flows
+from repro.core.flows import FlowAccumulator, TrafficSpec, build_flows
 from repro.core.multicast import average_multicast_latency, multicast_latency_naive
 from repro.core.service import ServiceTimeResult, solve_service_times
 from repro.core.unicast import average_unicast_latency
@@ -32,6 +32,9 @@ from repro.routing.base import RoutingAlgorithm
 from repro.topology.base import Topology
 
 __all__ = ["ModelResult", "AnalyticalModel"]
+
+#: traffic patterns whose unit-rate flows a model keeps (oldest dropped)
+FLOW_CACHE_SIZE = 8
 
 
 @dataclass
@@ -85,11 +88,29 @@ class AnalyticalModel:
         self.graph = ChannelGraph(topology, routing, one_port=one_port)
         self.recursion = recursion
         self.expmax_method = expmax_method
+        self._unit_flows: dict[tuple, FlowAccumulator] = {}
 
     # ------------------------------------------------------------------ #
+    def _flows(self, spec: TrafficSpec) -> FlowAccumulator:
+        """Flows of ``spec`` at unit rate, built once per traffic pattern:
+        every rate is proportional to the offered rate and the message
+        length plays no part, so neither is in the key."""
+        key = (
+            spec.multicast_fraction,
+            tuple(sorted((s, tuple(sorted(d))) for s, d in spec.multicast_sets.items() if d)),
+            spec.unicast_weights,
+        )
+        flows = self._unit_flows.get(key)
+        if flows is None:
+            flows = build_flows(self.graph, spec.with_rate(1.0))
+            if len(self._unit_flows) >= FLOW_CACHE_SIZE:
+                del self._unit_flows[next(iter(self._unit_flows))]
+            self._unit_flows[key] = flows
+        return flows
+
     def solve(self, spec: TrafficSpec) -> ServiceTimeResult:
         """Run the Eq. 6 fixed point for ``spec``."""
-        flows = build_flows(self.graph, spec)
+        flows = self._flows(spec).scaled(spec.message_rate)
         return solve_service_times(
             self.graph, flows, spec.message_length, recursion=self.recursion
         )
@@ -156,16 +177,17 @@ class AnalyticalModel:
         max_iter: int = 60,
     ) -> float:
         """Largest per-node message rate the model deems stable (bisection
-        on the saturation flag)."""
+        on the saturation flag; probes solve Eq. 6 without assembling
+        latencies)."""
         if hi is None:
             # a generous upper bound: one message per message-length cycles
             hi = 4.0 / spec.message_length
-        if not self.evaluate(spec.with_rate(hi)).saturated:
+        if not self.solve(spec.with_rate(hi)).saturated:
             return hi
         lo_r, hi_r = lo, hi
         for _ in range(max_iter):
             mid = 0.5 * (lo_r + hi_r)
-            if self.evaluate(spec.with_rate(mid)).saturated:
+            if self.solve(spec.with_rate(mid)).saturated:
                 hi_r = mid
             else:
                 lo_r = mid

@@ -26,10 +26,13 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.core.channel_graph import ChannelGraph
-from repro.core.expmax import expected_max_exponentials
+from repro.core.expmax import expected_max_exponentials, expected_max_rows
+from repro.core.flows import FlowAccumulator
 from repro.core.service import ServiceTimeResult
-from repro.core.unicast import LATENCY_CONSTANT, path_waiting_time
+from repro.core.unicast import LATENCY_CONSTANT, PathTable, path_waiting_time
 from repro.routing.base import MulticastRoute
 
 __all__ = [
@@ -119,6 +122,37 @@ def multicast_latency_naive(
     return waiting + result.message_length + d_j + LATENCY_CONSTANT
 
 
+#: largest worm count per multicast whose Eq. 12 recursion is evaluated
+#: for all sources at once (2^m subsets); larger ones go one by one
+_VECTOR_WORMS = 6
+
+
+class _MulticastTable:
+    """Every multicast worm of a set of flows, compiled for gathering:
+    its path, its port-serialisation rank (earlier worms of the same
+    multicast on its injection channel), its source's row and its slot in
+    that row, plus each source's largest hop count."""
+
+    def __init__(self, flows: FlowAccumulator):
+        self.sources = list(flows.multicast_paths)
+        worms = [w for ws in flows.multicast_paths.values() for w in ws]
+        self.paths = PathTable(flows, worms)
+        row, slot, rank = [], [], []
+        for r, ws in enumerate(flows.multicast_paths.values()):
+            seen: dict[int, int] = {}
+            for k, seq in enumerate(ws):
+                row.append(r)
+                slot.append(k)
+                rank.append(seen.get(seq[0], 0))
+                seen[seq[0]] = rank[-1] + 1
+        self.row = np.asarray(row, dtype=np.intp)
+        self.slot = np.asarray(slot, dtype=np.intp)
+        self.rank = np.asarray(rank, dtype=float)
+        self.width = 1 + (int(self.slot.max()) if len(self.slot) else 0)
+        self.max_hops = np.zeros(len(self.sources))
+        np.maximum.at(self.max_hops, self.row, self.paths.hops)
+
+
 def average_multicast_latency(
     graph: ChannelGraph,
     result: ServiceTimeResult,
@@ -128,19 +162,42 @@ def average_multicast_latency(
 ) -> float:
     """Network-average multicast latency (Eq. 16) over the sources that
     actually multicast (sources with empty sets offer no multicast and are
-    excluded from the average, matching the simulator's sampling)."""
-    routing = graph.routing
-    total = 0.0
-    count = 0
-    for node, dests in sorted(multicast_sets.items()):
-        if not dests:
-            continue
-        routes = routing.multicast_routes(node, sorted(dests))
-        lat = multicast_latency_at_node(graph, result, routes, method=method)
-        if math.isinf(lat):
-            return math.inf
-        total += lat
-        count += 1
-    if count == 0:
+    excluded from the average, matching the simulator's sampling).
+
+    The worms are those :func:`~repro.core.flows.build_flows` walked for
+    ``result.flows``, so ``multicast_sets`` must be the sets of the spec
+    those flows were built from."""
+    table = result.flows.compiled("multicast", _MulticastTable)
+    sources = [node for node, dests in sorted(multicast_sets.items()) if dests]
+    if not sources:
         raise ValueError("no node has a non-empty multicast destination set")
-    return total / count
+    if sources != table.sources:
+        raise ValueError("multicast_sets differ from the sets the flows were built for")
+    waiting = table.paths.waiting(result.waiting)
+    # serialised behind earlier worms of the same multicast on the same
+    # injection channel: each holds it for its mean service time
+    serial = table.rank > 0.0
+    waiting[serial] += table.rank[serial] * result.mean_service[table.paths.first[serial]]
+    if not np.all(np.isfinite(waiting)):
+        return math.inf
+    if method == "recursive" and table.width <= _VECTOR_WORMS:
+        # a worm that never waits has an infinite rate and drops out of
+        # the maximum, like an absent one: both are stored as rate 0
+        rates = np.zeros((len(sources), table.width))
+        with np.errstate(divide="ignore", over="ignore"):
+            mu = 1.0 / waiting
+        mu[np.isinf(mu)] = 0.0
+        rates[table.row, table.slot] = mu
+        emax = expected_max_rows(rates)
+    else:
+        emax = np.array(
+            [
+                expected_max_exponentials(
+                    [math.inf if w <= 0.0 else 1.0 / w for w in waiting[table.row == r].tolist()],
+                    method=method,
+                )
+                for r in range(len(sources))
+            ]
+        )
+    latency = emax + result.message_length + table.max_hops + LATENCY_CONSTANT
+    return float(np.mean(latency))

@@ -11,6 +11,7 @@ from repro.core.expmax import (
     expected_max_iid,
     expected_max_inclusion_exclusion,
     expected_max_recursive,
+    expected_max_rows,
     expected_min_exponentials,
     harmonic_number,
 )
@@ -166,3 +167,26 @@ class TestDispatch:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             expected_max_exponentials([1.0], method="bogus")
+
+
+class TestExpectedMaxRows:
+    """The row-wise recursion agrees with the scalar one; a 0 entry is an
+    absent variable (the scalar entry point's infinite rate)."""
+
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=100.0)),
+                min_size=4,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_recursion(self, rows):
+        got = expected_max_rows(np.array(rows))
+        for row, value in zip(rows, got):
+            want = expected_max_exponentials([r if r > 0.0 else math.inf for r in row])
+            assert value == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -198,3 +198,45 @@ class TestMulticastFlows:
         acc = FlowAccumulator(graph)
         with pytest.raises(ValueError):
             acc.add_worm([0, 1], -0.1)
+
+
+class TestScaledFlows:
+    """Flows are linear in the offered rate: a model builds them once at
+    unit rate and scales them to every load it is asked about."""
+
+    def test_scaled_matches_direct_build(self, net16):
+        topo, routing, graph = net16
+        sets = {0: frozenset({1, 9}), 5: frozenset({2, 3, 12})}
+        unit = build_flows(graph, TrafficSpec(1.0, 0.2, 32, sets))
+        direct = build_flows(graph, TrafficSpec(0.007, 0.2, 32, sets))
+        view = unit.scaled(0.007)
+        assert np.allclose(view.arrival_rate, direct.arrival_rate, rtol=1e-12, atol=0.0)
+        for i in range(graph.num_channels):
+            assert view.feed[i].keys() == direct.feed[i].keys()
+            for j, rate in direct.feed[i].items():
+                assert view.feed[i][j] == pytest.approx(rate, rel=1e-12)
+                assert view.feed_fraction(i, j) == pytest.approx(
+                    direct.feed_fraction(i, j), rel=1e-12
+                )
+        assert view.unicast_paths is unit.unicast_paths
+
+    def test_mutating_a_view_leaves_its_base_alone(self, net16):
+        _, _, graph = net16
+        unit = build_flows(graph, TrafficSpec(1.0, 0.0, 32))
+        before = unit.arrival_rate.copy()
+        view = unit.scaled(0.5)
+        view.add_worm([0, 1], 0.25)
+        assert np.array_equal(unit.arrival_rate, before)
+        assert view.feed[0][1] == pytest.approx(0.5 * unit.feed[0].get(1, 0.0) + 0.25)
+
+    @pytest.mark.parametrize("recursion", ["paper", "occupancy"])
+    def test_model_at_zero_rate_is_the_no_flow_solve(self, net16, recursion):
+        from repro.core import AnalyticalModel
+
+        topo, routing, _ = net16
+        model = AnalyticalModel(topo, routing, recursion=recursion)
+        model.solve(TrafficSpec(0.004, 0.05, 32, {0: frozenset({3})}))  # warm the flows
+        res = model.solve(TrafficSpec(0.0, 0.05, 32, {0: frozenset({3})}))
+        assert np.all(res.mean_service == 32.0)
+        assert np.all(res.waiting == 0.0) and np.all(res.utilization == 0.0)
+        assert res.converged and not res.saturated and res.iterations == 0
